@@ -1,8 +1,9 @@
 """Setuptools shim.
 
-The project metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` works with the legacy (non-PEP-660) editable-install
-path available in offline environments that lack the ``wheel`` package.
+The project metadata lives in pyproject.toml.  ``pip install -e .[test]``
+is the normal install.  This file keeps the legacy editable install,
+``python setup.py develop --no-deps``, working offline in environments
+that lack the ``wheel`` package a PEP 660 editable install needs.
 """
 
 from setuptools import setup

@@ -27,7 +27,6 @@ results job-for-job.
 from __future__ import annotations
 
 import multiprocessing
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -49,6 +48,7 @@ from repro.obs.trace import (
     Tracer,
     current_span_id,
     current_tracer,
+    phase,
     trace_scope,
     trace_span,
 )
@@ -317,12 +317,12 @@ def run(
             return _run_grid(scenario, policy, workload)
 
         timings: Dict[str, float] = {}
-        phase_started = time.perf_counter()
-        with trace_span("run.materialize", workload=scenario.workload):
+        with phase(
+            timings, "materialize_seconds", "run.materialize",
+            workload=scenario.workload,
+        ):
             materialized = _materialize(scenario, workload)
-        timings["materialize_seconds"] = time.perf_counter() - phase_started
-        phase_started = time.perf_counter()
-        with trace_span("run.simulate", mode=mode):
+        with phase(timings, "simulate_seconds", "run.simulate", mode=mode):
             if mode == "gang":
                 result = simulate_gang(
                     materialized,
@@ -349,12 +349,9 @@ def run(
                 raise ValueError(
                     f"policy {scenario.policy!r} declares unknown mode {mode!r}"
                 )
-        timings["simulate_seconds"] = time.perf_counter() - phase_started
 
-        phase_started = time.perf_counter()
-        with trace_span("run.metrics"):
+        with phase(timings, "metrics_seconds", "run.metrics"):
             report = compute_metrics(result, tau=scenario.tau)
-        timings["metrics_seconds"] = time.perf_counter() - phase_started
         return ScenarioResult(
             scenario=scenario,
             result=result,
@@ -381,60 +378,62 @@ def _run_grid(
     from repro.grid.workload import generate_meta_jobs
 
     timings: Dict[str, float] = {}
-    phase_started = time.perf_counter()
-    meta_classes = {
-        "least-loaded": LeastLoadedMetaScheduler,
-        "earliest-start": EarliestStartMetaScheduler,
-    }
-    try:
-        meta_scheduler = meta_classes[policy.meta]()
-    except KeyError:
-        raise UnknownNameError("meta-scheduler", policy.meta, list(meta_classes)) from None
+    with phase(
+        timings, "materialize_seconds", "run.materialize",
+        workload=scenario.workload,
+    ):
+        meta_classes = {
+            "least-loaded": LeastLoadedMetaScheduler,
+            "earliest-start": EarliestStartMetaScheduler,
+        }
+        try:
+            meta_scheduler = meta_classes[policy.meta]()
+        except KeyError:
+            raise UnknownNameError("meta-scheduler", policy.meta, list(meta_classes)) from None
 
-    base_seed = scenario.seed if scenario.seed is not None else 0
-    site_seeds = derive_seeds(base_seed, policy.sites)
-    sites = []
-    for i in range(policy.sites):
-        # Each site gets its own local stream: re-seed the model per site, or
-        # replay the same trace everywhere when the workload is materialized.
-        local = _materialize(
-            scenario, workload, seed=None if workload is not None else site_seeds[i]
-        )
-        machine_size = scenario.machine_size or local.header.max_nodes or local.max_processors()
-        sites.append(
-            Site(
-                name=f"site-{i + 1}",
-                machine_size=int(machine_size),
-                scheduler=scheduler_registry.create(policy.local, outage_aware=True),
-                local_workload=local,
-                speed=1.0 + policy.speed_step * i,
+        base_seed = scenario.seed if scenario.seed is not None else 0
+        site_seeds = derive_seeds(base_seed, policy.sites)
+        sites = []
+        for i in range(policy.sites):
+            # Each site gets its own local stream: re-seed the model per site, or
+            # replay the same trace everywhere when the workload is materialized.
+            local = _materialize(
+                scenario, workload, seed=None if workload is not None else site_seeds[i]
             )
+            machine_size = (
+                scenario.machine_size or local.header.max_nodes or local.max_processors()
+            )
+            sites.append(
+                Site(
+                    name=f"site-{i + 1}",
+                    machine_size=int(machine_size),
+                    scheduler=scheduler_registry.create(policy.local, outage_aware=True),
+                    local_workload=local,
+                    speed=1.0 + policy.speed_step * i,
+                )
+            )
+        machine_size = sites[0].machine_size
+        meta_stream = generate_meta_jobs(
+            policy.meta_jobs,
+            coallocation_fraction=policy.coallocation_fraction,
+            max_components=min(3, policy.sites),
+            max_component_processors=max(1, machine_size // 2),
+            seed=base_seed + _META_SEED_OFFSET,
         )
-    machine_size = sites[0].machine_size
-    meta_stream = generate_meta_jobs(
-        policy.meta_jobs,
-        coallocation_fraction=policy.coallocation_fraction,
-        max_components=min(3, policy.sites),
-        max_component_processors=max(1, machine_size // 2),
-        seed=base_seed + _META_SEED_OFFSET,
-    )
-    simulation = GridSimulation(
-        sites,
-        meta_stream,
-        meta_scheduler,
-        use_reservations=policy.reservations,
-        negotiation_slack=policy.negotiation_slack,
-        predictors={
-            "mean-wait": MeanWaitPredictor,
-            "category-mean": CategoryMeanPredictor,
-            "profile": ProfilePredictor,
-        },
-    )
-    timings["materialize_seconds"] = time.perf_counter() - phase_started
-    phase_started = time.perf_counter()
-    with trace_span("run.simulate", mode="grid"):
+        simulation = GridSimulation(
+            sites,
+            meta_stream,
+            meta_scheduler,
+            use_reservations=policy.reservations,
+            negotiation_slack=policy.negotiation_slack,
+            predictors={
+                "mean-wait": MeanWaitPredictor,
+                "category-mean": CategoryMeanPredictor,
+                "profile": ProfilePredictor,
+            },
+        )
+    with phase(timings, "simulate_seconds", "run.simulate", mode="grid"):
         grid_result = simulation.run()
-    timings["simulate_seconds"] = time.perf_counter() - phase_started
 
     merged_jobs = sorted(
         (job for site in grid_result.site_results.values() for job in site.jobs),
@@ -452,9 +451,8 @@ def _run_grid(
             "wasted_node_seconds": grid_result.total_wasted_node_seconds(),
         },
     )
-    phase_started = time.perf_counter()
-    report = compute_metrics(result, tau=scenario.tau)
-    timings["metrics_seconds"] = time.perf_counter() - phase_started
+    with phase(timings, "metrics_seconds", "run.metrics"):
+        report = compute_metrics(result, tau=scenario.tau)
     return ScenarioResult(
         scenario=scenario,
         result=result,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import parse_spec, scheduler_registry
-from repro.api.runner import resolve_workload_shared, run_many
+from repro.api.runner import ScenarioResult, resolve_workload_shared, run, run_many
 from repro.api.scenario import Scenario
 from repro.bench.stats import (
     CIEstimate,
@@ -30,10 +30,15 @@ from repro.bench.stats import (
     paired_comparison,
 )
 from repro.bench.store import ResultStore, StoredResult, result_key
-from repro.bench.suite import BenchmarkCase, BenchmarkSuite, get_suite
+from repro.bench.suite import (
+    BenchmarkCase,
+    BenchmarkSuite,
+    generated_outage_log,
+    get_suite,
+)
 from repro.metrics.basic import MetricsReport
 from repro.metrics.objective import MAXIMIZE_METRICS
-from repro.obs.trace import trace_span
+from repro.obs.trace import phase, trace_span
 
 __all__ = [
     "ReplicationOutcome",
@@ -43,6 +48,7 @@ __all__ = [
     "CaseComparison",
     "ComparisonResult",
     "run_suite",
+    "execute_unit",
     "compare_policies",
     "mean_report",
 ]
@@ -239,25 +245,76 @@ def _policy_mode(policy_spec: str) -> str:
     return getattr(scheduler_registry.get(parse_spec(policy_spec)[0]), "mode", "space")
 
 
-def _shared_workloads(ordered) -> List[Optional[Any]]:
-    """One materialized workload per distinct (spec, jobs, size, seed).
+def _unit_workload(scenario: Scenario) -> Optional[Any]:
+    """The workload override one unit runs with (None: resolve from the spec).
 
     Replications of different policies over the same context share their
     workload, so resolve it once — through the process-wide
-    :func:`~repro.api.runner.resolve_workload_shared` memo, which the
-    distributed worker also draws from — and hand it to ``run_many`` as an
-    element-wise override.  The override is *unscaled* (``load=None``) so
+    :func:`~repro.api.runner.resolve_workload_shared` memo — and hand it to
+    ``run()`` as an override.  The override is *unscaled* (``load=None``) so
     ``run()`` applies the scenario's load scaling exactly as it would from
     the spec.  Grid-mode scenarios get no override: the grid runner re-seeds
     the model per site, which an already-materialized workload would defeat.
     """
-    overrides: List[Optional[Any]] = []
-    for _case, _seed, scenario, _extra, _key in ordered:
-        if _policy_mode(scenario.policy) == "grid":
-            overrides.append(None)
-        else:
-            overrides.append(resolve_workload_shared(scenario))
-    return overrides
+    if _policy_mode(scenario.policy) == "grid":
+        return None
+    return resolve_workload_shared(scenario)
+
+
+def _store_unit(
+    result: ScenarioResult,
+    key: str,
+    extra: Dict[str, Any],
+    suite: str,
+    case: str,
+    store: Optional[ResultStore],
+    timings: Dict[str, float],
+) -> StoredResult:
+    """Build one unit's store entry from its run and write it (with a store).
+
+    ``elapsed_seconds`` is the run's own cost — the sum of its phase
+    timings — never a wall clock around it, so an entry records the same
+    kind of figure whichever path executed the unit.
+    """
+    entry = StoredResult(
+        key=key,
+        scenario=result.scenario,
+        report=result.report,
+        extra=extra,
+        suite=suite,
+        case=case,
+        elapsed_seconds=sum(result.timings.values()),
+    )
+    if store is not None:
+        with phase(timings, "store_write_seconds", "bench.store_write", case=case):
+            store.put(entry)
+    return entry
+
+
+def execute_unit(
+    scenario: Scenario,
+    key: str,
+    extra: Dict[str, Any],
+    suite: str,
+    case: str,
+    store: Optional[ResultStore],
+) -> StoredResult:
+    """Run one work unit exactly as :func:`run_suite` would, and store it.
+
+    This is the one execution path for a single unit: the distributed
+    worker and the serve daemon's scenario jobs both call it, and
+    ``run_suite``'s fan-out resolves the same inputs and stores through
+    the same entry builder.  The inputs are the shared unscaled workload
+    (none for grid mode) and the outage log regenerated from
+    ``extra["outages"]``, so a unit carrying only its recorded key material
+    reproduces the serial store entry bit for bit.
+    """
+    result = run(
+        scenario,
+        workload=_unit_workload(scenario),
+        outages=generated_outage_log(scenario, extra),
+    )
+    return _store_unit(result, key, extra, suite, case, store, {})
 
 
 def run_suite(
@@ -303,8 +360,7 @@ def run_suite(
     reports: Dict[str, MetricsReport] = {}
     store_hits = 0
     if store is not None and use_cache:
-        lookup_started = time.perf_counter()
-        with trace_span("bench.cache_lookup", keys=total):
+        with phase(timings, "cache_lookup_seconds", "bench.cache_lookup", keys=total):
             for key in unique:
                 hit = store.get(key)
                 if hit is not None:
@@ -313,7 +369,6 @@ def run_suite(
                     done += 1
                     if progress is not None:
                         progress(done, total, True)
-        timings["cache_lookup_seconds"] = time.perf_counter() - lookup_started
 
     unique_misses: Dict[str, tuple] = {
         key: entry for key, entry in unique.items() if key not in reports
@@ -321,41 +376,30 @@ def run_suite(
     if unique_misses:
         ordered = list(unique_misses.values())
 
-        def _record(index: int, scenario_result) -> None:
+        def _record(index: int, scenario_result: ScenarioResult) -> None:
             nonlocal done
-            case, seed, scenario, extra, key = ordered[index]
+            case, _seed, _scenario, extra, key = ordered[index]
             reports[key] = scenario_result.report
             done += 1
-            run_timings = scenario_result.timings
-            for phase in ("materialize_seconds", "simulate_seconds", "metrics_seconds"):
-                timings[phase] += run_timings.get(phase, 0.0)
-            if store is not None:
-                write_started = time.perf_counter()
-                with trace_span("bench.store_write", case=case.name):
-                    store.put(
-                        StoredResult(
-                            key=key,
-                            scenario=scenario,
-                            report=scenario_result.report,
-                            extra=extra,
-                            suite=suite.name,
-                            case=case.name,
-                            # This run's own wall-clock cost (the worker-side
-                            # phase breakdown), not an average over the batch.
-                            elapsed_seconds=sum(run_timings.values()),
-                        )
-                    )
-                timings["store_write_seconds"] += time.perf_counter() - write_started
+            for name in ("materialize_seconds", "simulate_seconds", "metrics_seconds"):
+                timings[name] += scenario_result.timings.get(name, 0.0)
+            _store_unit(
+                scenario_result, key, extra, suite.name, case.name, store, timings
+            )
             if progress is not None:
                 progress(done, total, False)
 
+        with phase(
+            timings, "materialize_seconds", "bench.materialize", units=len(ordered)
+        ):
+            workloads = [_unit_workload(scenario) for _c, _s, scenario, _e, _k in ordered]
         with trace_span(
             "bench.fan_out", misses=len(unique_misses), workers=workers or 1
         ):
             run_many(
                 [scenario for _c, _s, scenario, _e, _k in ordered],
                 workers=workers,
-                workloads=_shared_workloads(ordered),
+                workloads=workloads,
                 outages=[case.outage_log(seed) for case, seed, _sc, _e, _k in ordered],
                 on_result=_record,
             )

@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_METRICS",
     "BenchmarkCase",
     "BenchmarkSuite",
+    "generated_outage_log",
     "suite_registry",
     "register_suite",
     "get_suite",
@@ -61,6 +62,27 @@ DEFAULT_METRICS: Tuple[str, ...] = (
 
 #: Base seed of all built-in suites (the paper's year).
 SUITE_BASE_SEED = 1999
+
+
+def generated_outage_log(scenario: Scenario, extra: Dict[str, Any]):
+    """The outage log a replication's ``extra["outages"]`` describes (or None).
+
+    ``extra`` is a replication's store-key material
+    (:meth:`BenchmarkCase.store_extra`): the generation parameters plus the
+    replication seed.  Suite runs and work units that carry only that
+    recorded ``extra`` therefore regenerate the identical log.
+    """
+    params = extra.get("outages")
+    if not params:
+        return None
+    from repro.core.outage import OutageModel, generate_outages
+
+    return generate_outages(
+        int(scenario.machine_size),
+        int(params.get("horizon_days", 30.0) * 24 * 3600),
+        model=OutageModel(mtbf_seconds=params.get("mtbf_days", 7.0) * 24 * 3600),
+        seed=params["seed"],
+    )
 
 
 @dataclass(frozen=True)
@@ -110,18 +132,7 @@ class BenchmarkCase:
 
     def outage_log(self, seed: int):
         """Materialize the generated outage log for the replication at ``seed``."""
-        if self.outages is None:
-            return None
-        from repro.core.outage import OutageModel, generate_outages
-
-        return generate_outages(
-            int(self.scenario.machine_size),
-            int(self.outages.get("horizon_days", 30.0) * 24 * 3600),
-            model=OutageModel(
-                mtbf_seconds=self.outages.get("mtbf_days", 7.0) * 24 * 3600
-            ),
-            seed=seed,
-        )
+        return generated_outage_log(self.scenario, self.store_extra(seed))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ rest of the fleet is:
 
 * a unit is **done** iff its key decodes from the shared result store;
 * a unit is **claimed** iff a live lease file exists for its key;
-* everything a worker writes (the store entry) goes through the exact same
-  construction a serial :func:`repro.bench.runner.run_suite` uses, so a
-  distributed suite is bit-identical to a serial one.
+* a worker runs each unit through :func:`repro.bench.runner.execute_unit`,
+  the execution path a serial :func:`~repro.bench.runner.run_suite` shares,
+  so a distributed suite's store entries are bit-identical to a serial one's.
 
 The loop: scan for pending keys (enqueued, not in store), try to claim each
 under a lease, re-check the store after winning the claim (someone may have
@@ -31,9 +31,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from repro.api.runner import resolve_workload_shared, run
-from repro.bench.runner import _policy_mode
-from repro.bench.store import ResultStore, StoredResult
+from repro.bench.runner import execute_unit
+from repro.bench.store import ResultStore
 from repro.dist.lease import DEFAULT_TTL_SECONDS, Heartbeat, LeaseBroker
 from repro.dist.queue import WorkQueue, WorkUnit
 from repro.obs.telemetry import Telemetry, count, telemetry_scope
@@ -89,51 +88,6 @@ class WorkerStats:
             f"{self.reclaimed} leases reclaimed "
             f"in {self.simulate_seconds:.2f}s simulation"
         )
-
-
-def _execute(unit: WorkUnit, store: ResultStore) -> StoredResult:
-    """Run one unit exactly as the serial suite runner would, and store it.
-
-    Mirrors ``run_suite``'s miss path: grid-mode policies materialize their
-    own (re-seeded per site) workloads, everything else gets the shared
-    unscaled workload override; generated outage logs are rebuilt from the
-    unit's recorded parameters (seeded by the replication seed, like
-    ``BenchmarkCase.outage_log``); the stored entry carries the same
-    suite/case labels and the same summed phase timings.
-    """
-    scenario = unit.scenario
-    workload = None
-    if _policy_mode(scenario.policy) != "grid":
-        workload = resolve_workload_shared(scenario)
-    result = run(scenario, workload=workload, outages=_unit_outages(unit))
-    entry = StoredResult(
-        key=unit.key,
-        scenario=scenario,
-        report=result.report,
-        extra=unit.extra,
-        suite=unit.suite,
-        case=unit.case,
-        elapsed_seconds=sum(result.timings.values()),
-    )
-    store.put(entry)
-    return entry
-
-
-def _unit_outages(unit: WorkUnit):
-    """Regenerate the unit's outage log from its recorded parameters."""
-    params = unit.extra.get("outages")
-    if not params:
-        return None
-    from repro.core.outage import OutageModel, generate_outages
-
-    return generate_outages(
-        int(unit.scenario.machine_size),
-        int(float(params.get("horizon_days", 30.0)) * 24 * 3600),
-        model=OutageModel(
-            mtbf_seconds=float(params.get("mtbf_days", 7.0)) * 24 * 3600
-        ),
-        seed=int(params["seed"]),
-    )
 
 
 def _rotate(keys, worker_id: str):
@@ -259,7 +213,10 @@ def _drain(
                 )
                 started = time.perf_counter()
                 with Heartbeat(lease):
-                    entry = _execute(unit, store)
+                    entry = execute_unit(
+                        unit.scenario, unit.key, unit.extra, unit.suite,
+                        unit.case, store,
+                    )
                 elapsed = time.perf_counter() - started
                 stats.simulated += 1
                 stats.simulate_seconds += elapsed

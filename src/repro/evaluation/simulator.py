@@ -50,7 +50,6 @@ class _Running:
     expected_end: float
     completion_handle: object
     restarts: int = 0
-    first_submit: float = 0.0
 
 
 class MachineSimulation:
@@ -339,7 +338,6 @@ class MachineSimulation:
             expected_end=self.sim.now + request.estimate,
             completion_handle=handle,
             restarts=self._restart_counts.get(request.job_id, 0),
-            first_submit=self._submit_times.get(request.job_id, self.sim.now),
         )
 
     # ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .trace import (
     chrome_trace_text,
     current_span_id,
     current_tracer,
+    phase,
     trace_scope,
     trace_span,
     write_chrome_trace,
@@ -78,6 +79,7 @@ __all__ = [
     "chrome_trace_text",
     "current_span_id",
     "current_tracer",
+    "phase",
     "trace_scope",
     "trace_span",
     "write_chrome_trace",

@@ -48,6 +48,7 @@ __all__ = [
     "Tracer",
     "trace_scope",
     "trace_span",
+    "phase",
     "current_tracer",
     "current_span_id",
     "chrome_trace",
@@ -291,6 +292,24 @@ def trace_span(name: str, **attributes: Any):
         return
     with active[0].span(name, **attributes):
         yield
+
+
+@contextmanager
+def phase(timings: Dict[str, float], key: str, span: str, **attributes: Any):
+    """Time the enclosed block into ``timings[key]`` and trace it as ``span``.
+
+    The one instrumentation primitive for phase breakdowns: the block's
+    ``perf_counter`` duration is *added* to ``timings[key]`` (so a phase
+    entered once per unit accumulates), whether or not a tracer is active
+    and whether or not the block raises; the span is recorded only under
+    an active :func:`trace_scope`, exactly as :func:`trace_span` does.
+    """
+    started = time.perf_counter()
+    try:
+        with trace_span(span, **attributes):
+            yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - started
 
 
 # ----------------------------------------------------------------------

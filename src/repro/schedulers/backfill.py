@@ -32,7 +32,6 @@ from typing import List, Optional
 from repro.api.registry import register_scheduler
 from repro.obs.telemetry import count
 from repro.schedulers.base import (
-    AvailabilityProfile,
     JobRequest,
     RunningJobInfo,
     Scheduler,

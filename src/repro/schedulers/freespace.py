@@ -1,7 +1,7 @@
 """Slot-set free-space core: the structure every space-sharing policy queries.
 
 Conservative backfilling reasons about a piecewise-constant function
-"free processors over future time".  The original ``AvailabilityProfile``
+"free processors over future time".  The original breakpoint-list profile
 rebuilt that function from the running set on *every* scheduling pass and
 linear-scanned every breakpoint per query, which is quadratic-to-cubic on
 long traces.  This module replaces the representation with a slot set in
@@ -21,9 +21,8 @@ the style of OAR3's ``kamelot`` scheduler:
   jobs that started since the last pass reserve their window, jobs that
   finished (or were killed by an outage) release theirs.
 
-Every query is value-equivalent to the original breakpoint scan — the
-old ``AvailabilityProfile`` survives as a thin shim over this class, and
-the equivalence is asserted bit-for-bit in
+Every query is value-equivalent to the original breakpoint scan; the
+equivalence is asserted bit-for-bit in
 ``tests/schedulers/test_freespace.py`` against a verbatim copy of the old
 implementation.
 

@@ -38,8 +38,8 @@ from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.api.registry import RegistryError, parse_spec, scheduler_registry
 from repro.api.scenario import Scenario
-from repro.bench.runner import _expand, _trace_extra, run_suite
-from repro.bench.store import ResultStore, StoredResult, code_version, result_key
+from repro.bench.runner import _expand, _trace_extra, execute_unit, run_suite
+from repro.bench.store import ResultStore, code_version, result_key
 from repro.obs.journal import JobJournal, replay as replay_journal
 from repro.bench.suite import BenchmarkSuite, get_suite
 from repro.obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
@@ -621,22 +621,20 @@ class EvaluationService:
         """
         from repro.bench.report import suite_json
 
+        keys = sorted({entry[4] for entry in _expand(evaluation.suite)})
+        # Snapshot before enqueueing: a fleet worker may store a unit as soon
+        # as its file lands, and that unit is this job's work, not a hit.
+        stored_before = {key for key in keys if key in self.store}
         enqueued = self.dist_queue.enqueue_suite(evaluation.suite, store=self.store)
-        manifest = self.dist_queue.manifest(evaluation.suite.name)
-        keys = manifest["keys"] if manifest else sorted(
-            {entry[4] for entry in _expand(evaluation.suite)}
-        )
         total = len(keys)
-        done: Dict[str, bool] = {}  # key -> was it a pre-existing store entry
-        first_pass = True
+        done: set = set()
         while True:
             for key in keys:
                 if key not in done and key in self.store:
-                    done[key] = first_pass
-                    progress(len(done), total, first_pass)
+                    done.add(key)
+                    progress(len(done), total, key in stored_before)
             if len(done) >= total:
                 break
-            first_pass = False
             time.sleep(self.dist_poll_interval)
         result = run_suite(
             evaluation.suite, store=self.store, use_cache=True
@@ -651,27 +649,16 @@ class EvaluationService:
         return payload
 
     def _execute_scenario(self, evaluation: Evaluation, progress) -> Dict[str, Any]:
-        from repro.api.runner import run
-
         scenario = evaluation.scenario
         hit = self.store.get(evaluation.digest) if self.use_cache else None
         if hit is not None:
             report = hit.report
             progress(1, 1, True)
         else:
-            started = time.perf_counter()
-            report = run(scenario).report
-            self.store.put(
-                StoredResult(
-                    key=evaluation.digest,
-                    scenario=scenario,
-                    report=report,
-                    extra=evaluation.extra,
-                    suite="serve",
-                    case=scenario.label,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-            )
+            report = execute_unit(
+                scenario, evaluation.digest, evaluation.extra, "serve",
+                scenario.label, self.store,
+            ).report
             progress(1, 1, False)
         return {
             "scenario": scenario.to_dict(),

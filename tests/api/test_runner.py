@@ -13,6 +13,7 @@ from repro.core.outage import (
 )
 from repro.core.swf import write_swf
 from repro.evaluation import simulate
+from repro.obs.trace import Tracer, trace_scope
 from repro.schedulers import EasyBackfillScheduler
 from tests.conftest import make_job, make_workload
 
@@ -210,6 +211,22 @@ class TestRunMany:
             "materialize_seconds", "simulate_seconds", "metrics_seconds",
         }
         assert all(v >= 0 for v in result.timings.values())
+
+    @pytest.mark.parametrize(
+        "policy", ["easy", "gang:slots=2", "grid:meta=least-loaded,sites=2,meta_jobs=5"]
+    )
+    def test_every_mode_traces_each_timed_phase(self, policy):
+        tracer = Tracer()
+        with trace_scope(tracer):
+            result = run(
+                Scenario(workload="lublin99:jobs=30", policy=policy,
+                         machine_size=64, seed=4)
+            )
+        phases = {"materialize", "simulate", "metrics"}
+        assert {s.name for s in tracer.spans} == (
+            {"run.scenario"} | {f"run.{name}" for name in phases}
+        )
+        assert set(result.timings) == {f"{name}_seconds" for name in phases}
 
     def test_order_is_preserved(self):
         scenarios = [

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
+
+import repro.bench.runner as bench_runner
 
 from repro.api import Scenario
 from repro.api.registry import UnknownNameError
@@ -17,6 +21,7 @@ from repro.bench.runner import compare_policies, mean_report, run_suite
 from repro.bench.seeds import derive_seeds
 from repro.bench.store import ResultStore
 from repro.bench.suite import BenchmarkCase, BenchmarkSuite, get_suite, suite_names
+from repro.obs.trace import Tracer, trace_scope
 
 
 def tiny_suite(policies=("fcfs", "easy"), jobs=40, n_seeds=3) -> BenchmarkSuite:
@@ -126,6 +131,23 @@ class TestRunSuite:
         # cache-served: the lookup is all that happens, so phases stay ~zero
         warm = run_suite(tiny_suite(), store=store)
         assert warm.timings["simulate_seconds"] == 0
+
+    def test_shared_workload_resolution_is_timed_as_materialize(
+        self, tmp_path, monkeypatch
+    ):
+        resolve = bench_runner.resolve_workload_shared
+
+        def slow_resolve(scenario):
+            time.sleep(0.02)
+            return resolve(scenario)
+
+        monkeypatch.setattr(bench_runner, "resolve_workload_shared", slow_resolve)
+        tracer = Tracer()
+        with trace_scope(tracer):
+            cold = run_suite(tiny_suite(), store=ResultStore(tmp_path))
+        # The parent-side resolution lands in its phase, not in "other".
+        assert cold.timings["materialize_seconds"] >= 0.02 * cold.cache_misses
+        assert "bench.materialize" in {span.name for span in tracer.spans}
 
     def test_summary_explains_cache_served_runs(self, tmp_path):
         store = ResultStore(tmp_path)

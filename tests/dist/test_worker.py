@@ -49,6 +49,11 @@ def small_suite(name: str = "dist-small", seeds=(1, 2, 3)) -> BenchmarkSuite:
                           seeds=tuple(seeds)),
             BenchmarkCase(context="u", scenario=scenario.with_(policy="easy"),
                           seeds=tuple(seeds)),
+            # A generated outage log: workers rebuild it from the unit's
+            # recorded parameters, never from the case object.
+            BenchmarkCase(context="u+outages", scenario=scenario.with_(policy="easy"),
+                          seeds=tuple(seeds),
+                          outages={"mtbf_days": 1.0, "horizon_days": 30.0}),
         ),
         metrics=("mean_wait",),
     )
@@ -90,7 +95,19 @@ class TestWorkerEndToEnd:
             assert ours.scenario == theirs.scenario
             assert ours.extra == theirs.extra
             assert ours.suite == theirs.suite and ours.case == theirs.case
-            assert ours.report.as_dict() == theirs.report.as_dict()
+            # to_json carries the counters too, so restarts caused by the
+            # generated outages must match event for event.
+            assert ours.report.to_json() == theirs.report.to_json()
+        outage_keys = [
+            key for key in store_keys(serial_store.root)
+            if serial_store.get(key).extra.get("outages")
+        ]
+        assert len(outage_keys) == 3
+        # The outages really bite: failed jobs were restarted.
+        assert any(
+            serial_store.get(key).report.counters["jobs_started"] > 60
+            for key in outage_keys
+        )
 
     def test_worker_skips_already_stored_units(self, tmp_path):
         suite = small_suite()
@@ -132,8 +149,8 @@ class TestGather:
         queue.enqueue_suite(suite, store=store)
         with pytest.raises(QueueIncompleteError) as excinfo:
             gather(queue, suite, store)
-        assert excinfo.value.total == 6
-        assert len(excinfo.value.missing) == 6
+        assert excinfo.value.total == 9
+        assert len(excinfo.value.missing) == 9
 
     def test_gather_requires_a_manifest(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -148,7 +165,7 @@ class TestGather:
         queue.enqueue_suite(suite, store=store)
         run_worker(queue, store, worker_id="w0")
         gathered = gather(queue, suite, store)
-        assert gathered.cache_hits == 6 and gathered.cache_misses == 0
+        assert gathered.cache_hits == 9 and gathered.cache_misses == 0
 
         serial = run_suite(suite, store=ResultStore(tmp_path / "serial"))
         assert gathered.rows() == serial.rows()
@@ -159,7 +176,7 @@ class TestGather:
         queue = WorkQueue(tmp_path / "queue")
         queue.enqueue_suite(suite, store=store)
         result = gather(queue, suite, store, allow_partial=True)
-        assert result.cache_misses == 6
+        assert result.cache_misses == 9
         assert queue.pending_keys(store) == []
 
 

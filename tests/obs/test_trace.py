@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import repro.obs.trace as trace_module
 from repro.obs.trace import (
     Tracer,
     chrome_trace,
     chrome_trace_text,
     current_span_id,
     current_tracer,
+    phase,
     trace_scope,
     trace_span,
 )
@@ -62,6 +65,49 @@ class TestScoping:
                 pass
         assert [s.name for s in tracer.spans] == ["phase.one"]
         assert tracer.spans[0].attributes == {"detail": 7}
+
+
+class TestPhase:
+    @pytest.fixture(autouse=True)
+    def fake_perf_counter(self, monkeypatch):
+        # Every perf_counter reading inside phase() advances by 0.5 s.
+        monkeypatch.setattr(
+            trace_module, "time", SimpleNamespace(perf_counter=FakeClock(step=0.5))
+        )
+
+    def test_accumulates_without_a_tracer(self):
+        timings = {"load_seconds": 1.0}
+        with phase(timings, "load_seconds", "phase.load", detail=1):
+            assert current_tracer() is None
+        with phase(timings, "load_seconds", "phase.load"):
+            pass
+        with phase(timings, "fresh_seconds", "phase.fresh"):
+            pass
+        assert timings == {"load_seconds": 2.0, "fresh_seconds": 0.5}
+
+    def test_records_one_named_span_under_a_tracer(self):
+        tracer = fake_tracer()
+        timings = {}
+        with trace_scope(tracer):
+            with phase(timings, "load_seconds", "phase.load", detail=7):
+                pass
+        assert [(s.name, s.attributes) for s in tracer.spans] == [
+            ("phase.load", {"detail": 7})
+        ]
+        assert timings == {"load_seconds": 0.5}
+
+    def test_failed_body_still_records_its_time(self):
+        tracer = fake_tracer()
+        timings = {}
+        with pytest.raises(RuntimeError):
+            with phase(timings, "load_seconds", "phase.bare"):
+                raise RuntimeError("boom")
+        with trace_scope(tracer):
+            with pytest.raises(RuntimeError):
+                with phase(timings, "load_seconds", "phase.traced"):
+                    raise RuntimeError("boom")
+        assert timings == {"load_seconds": 1.0}
+        assert [s.name for s in tracer.spans] == ["phase.traced"]
 
 
 class TestNesting:

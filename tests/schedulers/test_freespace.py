@@ -1,7 +1,7 @@
 """Equivalence tests for the slot-set free-space core.
 
 The slot-set :class:`~repro.schedulers.freespace.FreeSpace` replaced the
-breakpoint-list ``AvailabilityProfile`` as the data structure behind
+breakpoint-list availability profile as the data structure behind
 conservative backfilling.  The refactor's contract is *bit-for-bit schedule
 equivalence*: every query the schedulers make must return exactly what the
 old implementation returned.  These tests enforce that contract three ways:
@@ -32,7 +32,6 @@ from repro.bench.store import result_key
 from repro.obs.telemetry import count
 from repro.schedulers.backfill import ConservativeBackfillScheduler
 from repro.schedulers.base import (
-    AvailabilityProfile,
     JobRequest,
     RunningJobInfo,
     Scheduler,
@@ -46,7 +45,7 @@ from tests.schedulers.util import make_request, make_state
 # the oracle: the pre-slot-set implementation, verbatim
 # ----------------------------------------------------------------------
 class ReferenceProfile:
-    """The old breakpoint-list AvailabilityProfile, kept as a test oracle."""
+    """The old breakpoint-list availability profile, kept as a test oracle."""
 
     def __init__(self, total_processors: int, now: float) -> None:
         if total_processors < 1:
@@ -252,14 +251,6 @@ class TestFreeSpaceMatchesReference:
         assert fs.earliest_start(procs, duration) == ref.earliest_start(procs, duration)
         for t in range(0, 400, 3):
             assert fs.free_at(t) == ref.free_at(t)
-
-    def test_shim_profile_is_freespace(self):
-        # The compatibility shim must expose the old API on the new core.
-        profile = AvailabilityProfile(16, now=0.0)
-        assert isinstance(profile, FreeSpace)
-        profile.remove(10, 20, 8)
-        assert profile.free_at(15) == 8
-        assert profile.earliest_start(16, 15) == 20.0
 
     def test_slot_invariants_after_operations(self):
         fs = FreeSpace(32, now=0.0)

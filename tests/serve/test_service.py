@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro.bench.runner import SuiteRunResult
+from repro.bench.runner import SuiteRunResult, execute_unit
+from repro.bench.store import ResultStore
 from repro.serve.daemon import ReproServer, ServeConfig
 from repro.serve.service import (
     EvaluationService,
@@ -179,6 +180,36 @@ class TestSubmissionResolution:
             EvaluationService(workers=0)
         with pytest.raises(ValueError):
             EvaluationService(queue_limit=0)
+
+
+class TestScenarioExecution:
+    @pytest.mark.parametrize(
+        "workload", ["uniform", "trace:uniform,jobs=40,machine_size=32"]
+    )
+    def test_scenario_job_stores_the_execute_unit_entry(
+        self, tmp_path, monkeypatch, workload
+    ):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
+        service = EvaluationService(store=ResultStore(tmp_path / "serve"))
+        evaluation = resolve_submission(
+            {"scenario": dict(SCENARIO["scenario"], workload=workload)}
+        )
+        calls = []
+        service._execute_scenario(evaluation, lambda *args: calls.append(args))
+        assert calls == [(1, 1, False)]
+
+        scenario = evaluation.scenario
+        direct = execute_unit(
+            scenario, evaluation.digest, evaluation.extra, "serve",
+            scenario.label, ResultStore(tmp_path / "direct"),
+        )
+        served = service.store.get(evaluation.digest)
+        assert served.key == direct.key == evaluation.digest
+        assert served.scenario == direct.scenario
+        assert served.report.to_json() == direct.report.to_json()
+        assert served.extra == direct.extra == evaluation.extra
+        assert bool(evaluation.extra) == workload.startswith("trace:")
+        assert served.suite == direct.suite == "serve"
 
 
 class TestEndToEnd:
