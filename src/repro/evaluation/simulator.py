@@ -48,7 +48,7 @@ class _Running:
     request: JobRequest
     start_time: float
     expected_end: float
-    completion_handle: object
+    completion_handle: int
     restarts: int = 0
 
 
@@ -70,7 +70,7 @@ class MachineSimulation:
         size = machine_size or workload.header.max_nodes or workload.max_processors()
         if not size:
             raise ValueError("machine size is unknown: pass machine_size explicitly")
-        self.machine = Machine(size=int(size), name="simulated-machine")
+        self.machine = Machine(size=int(size))
         self.outages = outages if outages is not None else OutageLog([])
         self.honor_dependencies = honor_dependencies
         self.restart_failed_jobs = restart_failed_jobs
@@ -133,7 +133,6 @@ class MachineSimulation:
                     self._on_arrival,
                     request,
                     priority=_PRIORITY_ARRIVAL,
-                    label=f"arrival:{request.job_id}",
                 )
         for record in self.outages:
             node_ids = self._outage_nodes(record)
@@ -143,14 +142,12 @@ class MachineSimulation:
                 record,
                 node_ids,
                 priority=_PRIORITY_OUTAGE,
-                label="outage-start",
             )
             self.sim.schedule_at(
                 record.end_time,
                 self._on_outage_end,
                 node_ids,
                 priority=_PRIORITY_OUTAGE,
-                label="outage-end",
             )
 
     def _outage_nodes(self, record) -> List[int]:
@@ -198,7 +195,6 @@ class MachineSimulation:
                 self._on_arrival,
                 request,
                 priority=_PRIORITY_ARRIVAL,
-                label=f"dependent-arrival:{request.job_id}",
             )
 
     def _on_outage_start(self, record, node_ids: List[int]) -> None:
@@ -207,7 +203,7 @@ class MachineSimulation:
             running = self._running.pop(job_id, None)
             if running is None:
                 continue
-            running.completion_handle.cancel()
+            self.sim.cancel(running.completion_handle)
             self.machine.release(job_id)
             self._outage_kills += 1
             if self.restart_failed_jobs and running.restarts < self.max_restarts:
@@ -324,13 +320,12 @@ class MachineSimulation:
 
     def _start_job(self, request: JobRequest) -> None:
         self._telemetry.counter("jobs_started").inc()
-        self.machine.allocate(request.job_id, request.processors, start_time=self.sim.now)
+        self.machine.allocate(request.job_id, request.processors)
         handle = self.sim.schedule(
             request.runtime,
             self._on_completion,
             request.job_id,
             priority=_PRIORITY_COMPLETION,
-            label=f"completion:{request.job_id}",
         )
         self._running[request.job_id] = _Running(
             request=request,

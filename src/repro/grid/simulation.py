@@ -124,7 +124,6 @@ class _QueueEntry:
     kind: str                      # "local" or "meta"
     meta_id: Optional[int] = None
     component: Optional[MetaComponent] = None
-    reservation_backed: bool = False
 
 
 @dataclass
@@ -132,7 +131,6 @@ class _SiteRunning:
     entry: _QueueEntry
     start_time: float
     expected_end: float
-    completion_handle: Optional[object]
 
 
 @dataclass
@@ -143,7 +141,6 @@ class _MetaState:
     planned_start: Optional[float]
     use_reservation: bool
     component_starts: Dict[str, float] = field(default_factory=dict)
-    started: bool = False
     predictions: Dict[str, float] = field(default_factory=dict)
     predicted_site: Optional[str] = None
 
@@ -153,7 +150,7 @@ class _SiteState:
 
     def __init__(self, site: Site) -> None:
         self.site = site
-        self.machine = Machine(size=site.machine_size, name=site.name)
+        self.machine = Machine(size=site.machine_size)
         self.queue: List[_QueueEntry] = []
         self.running: Dict[int, _SiteRunning] = {}
         #: (start, end, processors, meta_id) reservation calendar
@@ -275,7 +272,6 @@ class GridSimulation:
                     state.site.name,
                     request,
                     priority=_PRIORITY_ARRIVAL,
-                    label=f"local:{state.site.name}:{request.job_id}",
                 )
         for job in self.meta_jobs:
             self.sim.schedule_at(
@@ -283,7 +279,6 @@ class GridSimulation:
                 self._on_meta_arrival,
                 job,
                 priority=_PRIORITY_ARRIVAL,
-                label=f"meta:{job.job_id}",
             )
 
     # ------------------------------------------------------------------
@@ -388,7 +383,6 @@ class GridSimulation:
                 self._on_reservation_claim,
                 job.job_id,
                 priority=_PRIORITY_CLAIM,
-                label=f"claim:{job.job_id}",
             )
         else:
             for site_name, component in mapping.items():
@@ -413,7 +407,6 @@ class GridSimulation:
                 kind="meta",
                 meta_id=meta_id,
                 component=component,
-                reservation_backed=True,
             )
             # Reservation-backed components go to the head of the queue: the
             # site already drained capacity for them.
@@ -426,8 +419,6 @@ class GridSimulation:
         if len(meta_state.component_starts) < len(meta_state.mapping):
             return
         # All components are running: the meta job begins useful work now.
-        meta_state.started = True
-        start = max(meta_state.component_starts.values())
         slowest_speed = min(self.sites[s].site.speed for s in meta_state.mapping)
         runtime = max(1, int(round(meta_state.job.runtime / slowest_speed)))
         self.sim.schedule(
@@ -435,7 +426,6 @@ class GridSimulation:
             self._on_meta_completion,
             meta_id,
             priority=_PRIORITY_COMPLETION,
-            label=f"meta-completion:{meta_id}",
         )
 
     def _on_meta_completion(self, meta_id: int) -> None:
@@ -492,40 +482,37 @@ class GridSimulation:
         if not selected:
             return
         entries_by_id = {e.request.job_id: e for e in state.queue}
+        started_ids = set()
         total = 0
         for request in selected:
-            if request.job_id not in entries_by_id:
+            if request.job_id not in entries_by_id or request.job_id in started_ids:
                 raise RuntimeError(
-                    f"site {site_name}: scheduler selected job {request.job_id} not in queue"
+                    f"site {site_name}: scheduler selected job {request.job_id} "
+                    "which is not in the wait queue"
                 )
+            started_ids.add(request.job_id)
             total += request.processors
         if total > scheduler_state.free_processors:
             raise RuntimeError(f"site {site_name}: scheduler over-committed the machine")
-        started_ids = set()
         for request in selected:
-            entry = entries_by_id[request.job_id]
-            self._start_entry(state, entry, request)
-            started_ids.add(request.job_id)
+            self._start_entry(state, entries_by_id[request.job_id], request)
         state.queue = [e for e in state.queue if e.request.job_id not in started_ids]
 
     def _start_entry(self, state: _SiteState, entry: _QueueEntry, request: JobRequest) -> None:
-        state.machine.allocate(request.job_id, request.processors, start_time=self.sim.now)
+        state.machine.allocate(request.job_id, request.processors)
+        # Meta completions are driven by _component_started.
         if entry.kind == "local":
-            handle = self.sim.schedule(
+            self.sim.schedule(
                 request.runtime,
                 self._on_local_completion,
                 state.site.name,
                 request.job_id,
                 priority=_PRIORITY_COMPLETION,
-                label=f"local-completion:{state.site.name}:{request.job_id}",
             )
-        else:
-            handle = None  # meta completions are driven by _component_started
         state.running[request.job_id] = _SiteRunning(
             entry=entry,
             start_time=self.sim.now,
             expected_end=self.sim.now + request.estimate,
-            completion_handle=handle,
         )
         if entry.kind == "meta":
             self._component_started(state.site.name, entry.meta_id)

@@ -2,15 +2,12 @@
 
 The machine schedulers in :mod:`repro.schedulers` allocate whole nodes of a
 distributed-memory machine (the IBM SP / Paragon / CM-5 class the paper's
-workloads come from).  This package provides:
-
-* :class:`Node` — one node with a memory capacity and an up/down flag,
-* :class:`Allocation` — a set of nodes held by a running job,
-* :class:`Machine` — the allocator: tracks free / busy / down nodes,
-  partitions, and per-node memory, and supports the failure / repair
-  transitions the outage experiments need.
+workloads come from).  This package provides :class:`Machine`, the
+allocator both simulation drivers use: it hands a job the lowest-numbered
+free nodes, takes them back on release, and supports the failure / repair
+transitions the outage experiments need, reporting the jobs a failure hits.
 """
 
-from repro.machine.cluster import Allocation, Machine, Node, Partition
+from repro.machine.cluster import AllocationError, Machine
 
-__all__ = ["Allocation", "Machine", "Node", "Partition"]
+__all__ = ["AllocationError", "Machine"]

@@ -1,232 +1,93 @@
-"""Nodes, partitions, allocations, and the :class:`Machine` allocator.
+"""The :class:`Machine` allocator: whole nodes, lowest id first, failable.
 
 The model is deliberately at the granularity the SWF records: a job asks for
-a number of processors (nodes) and, optionally, memory per processor; the
-machine either has that many free, non-failed nodes in one partition or it
-does not.  Node identity matters only for outage handling (a failure takes
-down *specific* nodes, killing whatever ran there), so the allocator tracks
-individual nodes but exposes count-based convenience methods.
+a number of processors (nodes) and the machine either has that many free,
+non-failed nodes or it does not.  Node identity matters only for outage
+handling (a failure takes down *specific* nodes, killing whatever ran
+there), so the allocator tracks which job holds each node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-__all__ = ["Node", "Partition", "Allocation", "Machine", "AllocationError"]
+__all__ = ["Machine", "AllocationError"]
 
 
 class AllocationError(RuntimeError):
     """Raised when an allocation or release request cannot be honoured."""
 
 
-@dataclass
-class Node:
-    """One node of the machine."""
-
-    node_id: int
-    memory_kb: int = 0
-    partition: int = 1
-    up: bool = True
-    busy_job: Optional[int] = None
-
-    @property
-    def is_free(self) -> bool:
-        """True when the node is up and not allocated to any job."""
-        return self.up and self.busy_job is None
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A named group of nodes (e.g. batch vs interactive sub-machines)."""
-
-    number: int
-    node_ids: Tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.node_ids)
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """The set of nodes granted to one job."""
-
-    job_id: int
-    node_ids: Tuple[int, ...]
-    start_time: float
-
-    @property
-    def size(self) -> int:
-        return len(self.node_ids)
-
-
 class Machine:
-    """A space-shared parallel machine with failable nodes.
+    """A space-shared parallel machine of ``size`` failable nodes.
 
-    Parameters
-    ----------
-    size:
-        Number of nodes.
-    memory_per_node_kb:
-        Memory capacity of each node, in kilobytes (0 = memory not modelled).
-    partitions:
-        Optional sizes of partitions; must sum to ``size``.  When omitted the
-        whole machine is a single partition (number 1).
+    A node is free when it is up and no job holds it.  Allocation always
+    takes the lowest-numbered free nodes, so schedules and outage victims
+    are a deterministic function of the event sequence.
     """
 
-    def __init__(
-        self,
-        size: int,
-        memory_per_node_kb: int = 0,
-        partitions: Optional[Sequence[int]] = None,
-        name: str = "machine",
-    ) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError("a machine needs at least one node")
-        if memory_per_node_kb < 0:
-            raise ValueError("memory_per_node_kb must be non-negative")
-        self.name = name
         self.size = size
-        self.memory_per_node_kb = memory_per_node_kb
+        #: ids of the free nodes, ascending
+        self._free: List[int] = list(range(size))
+        self._down: Set[int] = set()
+        #: job holding each node, or None
+        self._owner: List[Optional[int]] = [None] * size
+        self._held: Dict[int, Tuple[int, ...]] = {}
 
-        partition_sizes = list(partitions) if partitions else [size]
-        if any(p < 1 for p in partition_sizes):
-            raise ValueError("partition sizes must be positive")
-        if sum(partition_sizes) != size:
-            raise ValueError("partition sizes must sum to the machine size")
+    def free_count(self) -> int:
+        """Number of free (up and unallocated) nodes."""
+        return len(self._free)
 
-        self._nodes: Dict[int, Node] = {}
-        self._partitions: List[Partition] = []
-        next_id = 0
-        for number, psize in enumerate(partition_sizes, start=1):
-            ids = tuple(range(next_id, next_id + psize))
-            for node_id in ids:
-                self._nodes[node_id] = Node(
-                    node_id=node_id, memory_kb=memory_per_node_kb, partition=number
-                )
-            self._partitions.append(Partition(number=number, node_ids=ids))
-            next_id += psize
+    def allocate(self, job_id: int, processors: int) -> Tuple[int, ...]:
+        """Allocate the ``processors`` lowest-numbered free nodes to ``job_id``.
 
-        self._allocations: Dict[int, Allocation] = {}
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> List[Node]:
-        """All nodes (shared references; mutate only through Machine methods)."""
-        return [self._nodes[i] for i in sorted(self._nodes)]
-
-    @property
-    def partitions(self) -> List[Partition]:
-        return list(self._partitions)
-
-    @property
-    def allocations(self) -> Dict[int, Allocation]:
-        """Current allocations, keyed by job id."""
-        return dict(self._allocations)
-
-    def node(self, node_id: int) -> Node:
-        return self._nodes[node_id]
-
-    def free_count(self, partition: Optional[int] = None) -> int:
-        """Number of free (up and unallocated) nodes, optionally per partition."""
-        return len(self._free_node_ids(partition))
-
-    def up_count(self, partition: Optional[int] = None) -> int:
-        """Number of up nodes (free or busy), optionally per partition."""
-        return sum(
-            1
-            for n in self._nodes.values()
-            if n.up and (partition is None or n.partition == partition)
-        )
-
-    def busy_count(self) -> int:
-        """Number of nodes currently allocated to jobs."""
-        return sum(1 for n in self._nodes.values() if n.busy_job is not None)
-
-    def down_count(self) -> int:
-        """Number of failed / drained nodes."""
-        return sum(1 for n in self._nodes.values() if not n.up)
-
-    def utilized_fraction(self) -> float:
-        """Busy nodes as a fraction of the nominal machine size."""
-        return self.busy_count() / self.size
-
-    def can_allocate(
-        self,
-        processors: int,
-        memory_per_node_kb: int = 0,
-        partition: Optional[int] = None,
-    ) -> bool:
-        """Whether a request could be satisfied right now."""
-        if processors < 1:
-            return False
-        if memory_per_node_kb > 0 and self.memory_per_node_kb > 0:
-            if memory_per_node_kb > self.memory_per_node_kb:
-                return False
-        return self.free_count(partition) >= processors
-
-    def _free_node_ids(self, partition: Optional[int] = None) -> List[int]:
-        return [
-            node_id
-            for node_id, node in sorted(self._nodes.items())
-            if node.is_free and (partition is None or node.partition == partition)
-        ]
-
-    # ------------------------------------------------------------------
-    # allocation / release
-    # ------------------------------------------------------------------
-    def allocate(
-        self,
-        job_id: int,
-        processors: int,
-        start_time: float = 0.0,
-        memory_per_node_kb: int = 0,
-        partition: Optional[int] = None,
-    ) -> Allocation:
-        """Allocate ``processors`` free nodes to ``job_id``.
-
-        Raises :class:`AllocationError` when the request cannot be satisfied
-        or the job already holds an allocation.
+        Returns the granted node ids.  Raises :class:`AllocationError` when
+        the request cannot be satisfied or the job already holds nodes.
         """
-        if job_id in self._allocations:
+        if job_id in self._held:
             raise AllocationError(f"job {job_id} already holds an allocation")
         if processors < 1:
             raise AllocationError("a job must request at least one processor")
-        if memory_per_node_kb > 0 and self.memory_per_node_kb > 0:
-            if memory_per_node_kb > self.memory_per_node_kb:
-                raise AllocationError(
-                    f"job {job_id} requests {memory_per_node_kb} kB per node but nodes "
-                    f"have only {self.memory_per_node_kb} kB"
-                )
-        free = self._free_node_ids(partition)
+        free = self._free
         if len(free) < processors:
             raise AllocationError(
                 f"job {job_id} requests {processors} nodes but only {len(free)} are free"
             )
         chosen = tuple(free[:processors])
+        del free[:processors]
         for node_id in chosen:
-            self._nodes[node_id].busy_job = job_id
-        allocation = Allocation(job_id=job_id, node_ids=chosen, start_time=start_time)
-        self._allocations[job_id] = allocation
-        return allocation
+            self._owner[node_id] = job_id
+        self._held[job_id] = chosen
+        return chosen
 
-    def release(self, job_id: int) -> Allocation:
-        """Release the allocation held by ``job_id`` and return it."""
-        allocation = self._allocations.pop(job_id, None)
-        if allocation is None:
+    def release(self, job_id: int) -> None:
+        """Release the nodes held by ``job_id``.
+
+        Nodes that failed while the job held them stay down.
+        """
+        node_ids = self._held.pop(job_id, None)
+        if node_ids is None:
             raise AllocationError(f"job {job_id} holds no allocation")
-        for node_id in allocation.node_ids:
-            node = self._nodes[node_id]
-            if node.busy_job == job_id:
-                node.busy_job = None
-        return allocation
+        for node_id in node_ids:
+            self._owner[node_id] = None
+        # Both runs are sorted, so this sort is a linear merge.
+        self._free.extend(n for n in node_ids if n not in self._down)
+        self._free.sort()
 
     # ------------------------------------------------------------------
     # failures and repairs (outage support)
     # ------------------------------------------------------------------
+    def _check_ids(self, node_ids: Iterable[int]) -> List[int]:
+        node_ids = list(node_ids)
+        for node_id in node_ids:
+            if not 0 <= node_id < self.size:
+                raise AllocationError(f"node {node_id} does not exist")
+        return node_ids
+
     def fail_nodes(self, node_ids: Iterable[int]) -> List[int]:
         """Mark nodes as down; returns the ids of jobs that were running on them.
 
@@ -235,40 +96,19 @@ class Machine:
         are excluded from future allocations until :meth:`restore_nodes`.
         """
         victims: Set[int] = set()
-        for node_id in node_ids:
-            node = self._nodes.get(node_id)
-            if node is None:
-                raise AllocationError(f"node {node_id} does not exist")
-            node.up = False
-            if node.busy_job is not None:
-                victims.add(node.busy_job)
+        for node_id in self._check_ids(node_ids):
+            owner = self._owner[node_id]
+            if owner is not None:
+                victims.add(owner)
+            elif node_id not in self._down:
+                del self._free[bisect_left(self._free, node_id)]
+            self._down.add(node_id)
         return sorted(victims)
 
-    def fail_any(self, count: int) -> Tuple[List[int], List[int]]:
-        """Fail ``count`` nodes, preferring free ones (returns (node_ids, victim_jobs)).
-
-        Preferring free nodes models the common case that a failure is noticed
-        on an idle node; if not enough free nodes exist, busy nodes fail too
-        and their jobs are reported as victims.
-        """
-        free = [n for n in self._free_node_ids() if self._nodes[n].up]
-        busy = [
-            node_id
-            for node_id, node in sorted(self._nodes.items())
-            if node.up and node.busy_job is not None
-        ]
-        chosen = (free + busy)[:count]
-        victims = self.fail_nodes(chosen)
-        return chosen, victims
-
     def restore_nodes(self, node_ids: Iterable[int]) -> None:
-        """Bring failed nodes back into service."""
-        for node_id in node_ids:
-            node = self._nodes.get(node_id)
-            if node is None:
-                raise AllocationError(f"node {node_id} does not exist")
-            node.up = True
-
-    def down_node_ids(self) -> List[int]:
-        """Ids of all currently-failed nodes."""
-        return [node_id for node_id, node in sorted(self._nodes.items()) if not node.up]
+        """Bring failed nodes back into service; restoring an up node is a no-op."""
+        for node_id in self._check_ids(node_ids):
+            if node_id in self._down:
+                self._down.remove(node_id)
+                if self._owner[node_id] is None:
+                    insort(self._free, node_id)

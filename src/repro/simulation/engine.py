@@ -1,105 +1,48 @@
 """A small deterministic discrete-event simulation engine.
 
-The engine maintains a priority queue of :class:`Event` objects ordered by
-``(time, priority, sequence)``.  The sequence number guarantees a stable,
-deterministic order for events scheduled at the same instant with the same
-priority, which is essential for reproducible scheduler evaluations: two runs
-of the same workload with the same seed must produce bit-identical schedules.
+The engine keeps a binary heap of plain ``(time, priority, seq, callback,
+args)`` tuples.  The sequence number is unique, so tuples compare on
+``(time, priority, seq)`` alone and events scheduled at the same instant
+with the same priority run in insertion order: two runs of the same workload
+with the same seed produce bit-identical schedules.
 
-The API is intentionally minimal — scheduler simulators in
-:mod:`repro.evaluation` and :mod:`repro.grid` drive it through three calls:
+The scheduler simulators in :mod:`repro.evaluation` and :mod:`repro.grid`
+drive it through four calls:
 
-``schedule(delay, callback, ...)``
+``schedule(delay, callback, *args, priority=0)``
     enqueue an event relative to the current time,
 
-``schedule_at(time, callback, ...)``
+``schedule_at(time, callback, *args, priority=0)``
     enqueue an event at an absolute time,
 
-``run(until=None)``
-    process events in order until the queue drains or ``until`` is reached.
+``cancel(handle)``
+    stop an event from firing; the handle is the sequence number the
+    ``schedule*`` calls return.  Cancellation is O(1): the entry stays in
+    the heap and is skipped when popped ("lazy deletion"),
 
-Events may be cancelled through the :class:`EventHandle` returned by the
-``schedule*`` calls; cancellation is O(1) (the event is flagged and skipped
-when popped), matching the usual "lazy deletion" technique for binary-heap
-event queues.
+``run()``
+    process events in order until the queue drains.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Set
 
-__all__ = ["Event", "EventHandle", "Simulator", "SimulationError"]
+__all__ = ["Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation is driven incorrectly.
 
-    Examples: scheduling an event in the past, or running a simulator that
-    has already been stopped.
+    Examples: scheduling an event in the past, or calling :meth:`run`
+    from inside an event.
     """
-
-
-@dataclass(order=True)
-class Event:
-    """A single scheduled occurrence inside the simulation.
-
-    Events compare by ``(time, priority, sequence)`` so that
-
-    * earlier events run first,
-    * among simultaneous events, lower ``priority`` runs first,
-    * among equal-priority simultaneous events, insertion order wins.
-    """
-
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
-    cancelled: bool = field(compare=False, default=False)
-    label: str = field(compare=False, default="")
-
-
-class EventHandle:
-    """A cancellable reference to a scheduled :class:`Event`."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Absolute simulation time the event is scheduled for."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """Human-readable label attached at scheduling time."""
-        return self._event.label
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        self._event.cancelled = True
 
 
 class Simulator:
-    """Deterministic discrete-event simulator.
-
-    Parameters
-    ----------
-    start_time:
-        Initial value of the simulation clock (seconds).  Workload replay
-        typically starts at 0, matching the SWF convention that the first
-        submit time is the time origin.
+    """Deterministic discrete-event simulator; the clock starts at 0.
 
     Examples
     --------
@@ -108,24 +51,22 @@ class Simulator:
     >>> _ = sim.schedule(10.0, fired.append, 'a')
     >>> _ = sim.schedule(5.0, fired.append, 'b')
     >>> sim.run()
+    2
     >>> fired
     ['b', 'a']
     >>> sim.now
     10.0
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
-        self._queue: list[Event] = []
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._queue: list = []
         self._counter = itertools.count()
+        self._cancelled: Set[int] = set()
         self._running = False
-        self._stopped = False
         self._processed = 0
         self._peak_queue = 0
 
-    # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
@@ -137,11 +78,6 @@ class Simulator:
         return self._processed
 
     @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including lazily-cancelled ones)."""
-        return sum(1 for e in self._queue if not e.cancelled)
-
-    @property
     def peak_queue(self) -> int:
         """High-water mark of the event queue length.
 
@@ -150,127 +86,53 @@ class Simulator:
         """
         return self._peak_queue
 
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        label: str = "",
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now."""
+        self, delay: float, callback: Callable[..., Any], *args: Any, priority: int = 0
+    ) -> int:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} s in the past")
-        return self.schedule_at(
-            self._now + delay, callback, *args, priority=priority, label=label, **kwargs
-        )
+        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-        label: str = "",
-        **kwargs: Any,
-    ) -> EventHandle:
-        """Schedule ``callback(*args, **kwargs)`` at absolute simulation time ``time``."""
+        self, time: float, callback: Callable[..., Any], *args: Any, priority: int = 0
+    ) -> int:
+        """Schedule ``callback(*args)`` at absolute simulation time ``time``.
+
+        Returns the event's handle for :meth:`cancel`.
+        """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event at t={time} before current time t={self._now}"
             )
-        event = Event(
-            time=float(time),
-            priority=priority,
-            sequence=next(self._counter),
-            callback=callback,
-            args=args,
-            kwargs=kwargs,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
+        seq = next(self._counter)
+        heapq.heappush(self._queue, (float(time), priority, seq, callback, args))
         if len(self._queue) > self._peak_queue:
             self._peak_queue = len(self._queue)
-        return EventHandle(event)
+        return seq
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def step(self) -> Optional[Event]:
-        """Execute the single next non-cancelled event.
+    def cancel(self, handle: int) -> None:
+        """Prevent the event ``handle`` from firing.  Idempotent."""
+        self._cancelled.add(handle)
 
-        Returns the executed event, or ``None`` if the queue is empty.
-        """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._processed += 1
-            event.callback(*event.args, **event.kwargs)
-            return event
-        return None
-
-    def peek(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or ``None`` if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        if not self._queue:
-            return None
-        return self._queue[0].time
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run the simulation.
-
-        Parameters
-        ----------
-        until:
-            Stop once the next event would occur strictly after ``until``;
-            the clock is advanced to ``until``.  ``None`` runs to queue
-            exhaustion.
-        max_events:
-            Safety valve: stop after this many events.
-
-        Returns
-        -------
-        int
-            The number of events executed by this call.
-        """
+    def run(self) -> int:
+        """Process events until the queue drains; returns how many ran."""
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        self._stopped = False
+        queue = self._queue
+        cancelled = self._cancelled
         executed = 0
         try:
-            while True:
-                if self._stopped:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                next_time = self.peek()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = max(self._now, float(until))
-                    break
-                self.step()
+            while queue:
+                time, _, seq, callback, args = heapq.heappop(queue)
+                if seq in cancelled:
+                    cancelled.remove(seq)
+                    continue
+                self._now = time
+                self._processed += 1
                 executed += 1
+                callback(*args)
         finally:
             self._running = False
         return executed
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` loop to stop after the current event."""
-        self._stopped = True
-
-    def advance_to(self, time: float) -> None:
-        """Advance the clock without executing events (only forward, only when idle)."""
-        if time < self._now:
-            raise SimulationError("cannot move the simulation clock backwards")
-        if self.peek() is not None and self.peek() < time:
-            raise SimulationError("cannot skip over pending events with advance_to()")
-        self._now = float(time)

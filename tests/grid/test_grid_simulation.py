@@ -17,7 +17,9 @@ from repro.grid import (
 )
 from repro.bench.seeds import derive_seeds
 from repro.schedulers import EasyBackfillScheduler, FCFSScheduler
+from repro.schedulers.base import Scheduler
 from repro.workloads import Lublin99Model
+from tests.conftest import make_job, make_workload
 
 
 def make_sites(count=2, size=64, local_jobs=0, load=0.5, seed=100, outage_aware=True):
@@ -95,6 +97,24 @@ class TestSingleSiteMetaJobs:
         result = GridSimulation(sites, [], LeastLoadedMetaScheduler()).run()
         for site_result in result.site_results.values():
             assert len(site_result.jobs) == 50
+
+
+class TestSchedulerContract:
+    def test_duplicate_selection_rejected_before_any_start(self):
+        class Doubler(Scheduler):
+            name = "doubler"
+
+            def select_jobs(self, state):
+                return [state.queue[0], state.queue[0]] if state.queue else []
+
+        workload = make_workload([make_job(1, submit=0, runtime=100, processors=4)])
+        site = Site(name="s0", machine_size=16, scheduler=Doubler(), local_workload=workload)
+        grid = GridSimulation([site], [], LeastLoadedMetaScheduler())
+        with pytest.raises(RuntimeError, match="not in the wait queue"):
+            grid.run()
+        state = grid.sites["s0"]
+        assert state.running == {}
+        assert state.machine.free_count() == 16
 
 
 class TestCoallocation:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import doctest
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simulation.engine
 from repro.simulation import Simulator
 from repro.simulation.engine import SimulationError
 
@@ -42,11 +45,11 @@ class TestScheduling:
         assert fired == ["a", "b", "c"]
 
     def test_schedule_at_absolute_time(self):
-        sim = Simulator(start_time=100.0)
+        sim = Simulator()
         fired = []
-        sim.schedule_at(150.0, fired.append, "x")
+        sim.schedule(100.0, lambda: sim.schedule_at(150.0, fired.append, sim.now))
         sim.run()
-        assert fired == ["x"]
+        assert fired == [100.0]
         assert sim.now == 150.0
 
     def test_negative_delay_rejected(self):
@@ -55,16 +58,32 @@ class TestScheduling:
             sim.schedule(-1.0, lambda: None)
 
     def test_scheduling_in_the_past_rejected(self):
-        sim = Simulator(start_time=50.0)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(10.0, lambda: None)
-
-    def test_kwargs_passed_to_callback(self):
         sim = Simulator()
-        seen = {}
-        sim.schedule(1.0, lambda **kw: seen.update(kw), value=42)
+        errors = []
+
+        def at_fifty():
+            with pytest.raises(SimulationError) as info:
+                sim.schedule_at(10.0, lambda: None)
+            errors.append(info.value)
+
+        sim.schedule_at(50.0, at_fifty)
         sim.run()
-        assert seen == {"value": 42}
+        assert len(errors) == 1
+        assert sim.processed_events == 1
+
+    def test_reentrant_run_rejected(self):
+        sim = Simulator()
+        errors = []
+
+        def nested():
+            with pytest.raises(SimulationError) as info:
+                sim.run()
+            errors.append(info.value)
+
+        sim.schedule(1.0, nested)
+        sim.schedule(2.0, lambda: None)
+        assert sim.run() == 2
+        assert len(errors) == 1
 
     def test_events_scheduled_during_run_are_processed(self):
         sim = Simulator()
@@ -86,82 +105,38 @@ class TestCancellation:
         fired = []
         handle = sim.schedule(1.0, fired.append, "cancelled")
         sim.schedule(2.0, fired.append, "kept")
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert fired == ["kept"]
-        assert handle.cancelled
+        assert sim.now == 2.0
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)
         assert sim.run() == 0
 
-    def test_pending_events_excludes_cancelled(self):
+    def test_cancel_from_callback(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        handle.cancel()
-        assert sim.pending_events == 1
+        fired = []
+        later = sim.schedule(5.0, fired.append, "later")
+        sim.schedule(1.0, sim.cancel, later)
+        assert sim.run() == 1
+        assert fired == []
+
+    def test_peak_queue_counts_cancelled_entries(self):
+        sim = Simulator()
+        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
+        sim.cancel(handles[0])
+        sim.cancel(handles[2])
+        sim.schedule(10.0, lambda: None)
+        assert sim.run() == 2
+        assert sim.processed_events == 2
+        assert sim.peak_queue == 4
 
 
 class TestRunControl:
-    def test_run_until_stops_before_later_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(10.0, fired.append, "b")
-        sim.run(until=5.0)
-        assert fired == ["a"]
-        assert sim.now == 5.0
-        sim.run()
-        assert fired == ["a", "b"]
-
-    def test_max_events_limits_execution(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(i + 1.0, fired.append, i)
-        executed = sim.run(max_events=2)
-        assert executed == 2
-        assert fired == [0, 1]
-
-    def test_stop_from_callback(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))
-        sim.schedule(2.0, fired.append, "b")
-        sim.run()
-        assert fired[0] == "a"
-        assert "b" not in fired
-
-    def test_step_returns_none_on_empty_queue(self):
-        assert Simulator().step() is None
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.schedule(3.0, lambda: None)
-        handle.cancel()
-        assert sim.peek() == 3.0
-
-    def test_advance_to_moves_idle_clock(self):
-        sim = Simulator()
-        sim.advance_to(42.0)
-        assert sim.now == 42.0
-
-    def test_advance_to_cannot_skip_events(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.advance_to(10.0)
-
-    def test_advance_to_cannot_go_backwards(self):
-        sim = Simulator(start_time=10.0)
-        with pytest.raises(SimulationError):
-            sim.advance_to(5.0)
-
     def test_processed_event_count(self):
         sim = Simulator()
         for i in range(4):
@@ -191,3 +166,9 @@ class TestDeterminism:
             sim.schedule(1.0, fired.append, value)
         sim.run()
         assert fired == values
+
+
+def test_module_doctest():
+    failures, tried = doctest.testmod(repro.simulation.engine)
+    assert tried > 0
+    assert failures == 0
