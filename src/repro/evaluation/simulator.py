@@ -17,12 +17,17 @@ Features required by the paper's extensions are built in:
   state's capacity function — Section 2.2's "Including outage information";
 * **user estimates**: policies only ever see requested times, never actual
   runtimes.
+
+The machine, its wait queue, its running set and the scheduling pass live in
+:class:`SpaceSite`, which the grid driver (:mod:`repro.grid.simulation`) runs
+once per site; :class:`MachineSimulation` adds the workload, outage and
+dependency events around one of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.core.outage.log import OutageLog
 from repro.core.swf.fields import MISSING
@@ -30,10 +35,16 @@ from repro.core.swf.workload import Workload
 from repro.evaluation.results import JobResult, SimulationResult
 from repro.machine.cluster import Machine
 from repro.obs.telemetry import Telemetry, telemetry_scope
-from repro.schedulers.base import JobRequest, RunningJobInfo, Scheduler, SchedulerState
+from repro.schedulers.base import (
+    JobRequest,
+    RunningJobInfo,
+    Scheduler,
+    SchedulerState,
+    admit,
+)
 from repro.simulation.engine import Simulator
 
-__all__ = ["MachineSimulation", "simulate"]
+__all__ = ["MachineSimulation", "SpaceSite", "simulate", "window_capacity"]
 
 # Event priorities: completions are processed before outage transitions,
 # which are processed before arrivals at the same instant, so that freed or
@@ -48,8 +59,143 @@ class _Running:
     request: JobRequest
     start_time: float
     expected_end: float
-    completion_handle: int
+    #: engine handle of the completion event, for drivers that cancel it
+    completion_handle: Optional[int] = None
     restarts: int = 0
+
+    def result(
+        self, submit_time: float, end_time: float, killed: bool = False, site: Optional[str] = None
+    ) -> JobResult:
+        """This run, ended at ``end_time``, as the job's outcome."""
+        return JobResult(
+            job=self.request.job,
+            submit_time=submit_time,
+            start_time=self.start_time,
+            end_time=end_time,
+            processors=self.request.processors,
+            killed=killed,
+            restarts=self.restarts,
+            site=site,
+        )
+
+
+def window_capacity(
+    size: int, windows: Collection[Tuple[float, float, int]]
+) -> Callable[[float, float], int]:
+    """``min_capacity(start, end)`` for a ``size``-processor machine of which
+    each ``(start, end, amount)`` window takes ``amount`` over ``[start, end)``.
+
+    The result is the least capacity left at any instant of ``[start, end)``;
+    a query with ``end <= start`` reads the capacity at ``start``.  ``windows``
+    is read at every call, not copied, so a caller may keep appending to it.
+    """
+
+    def min_capacity(start: float, end: float) -> int:
+        if not windows:
+            return size
+        boundaries = {start}
+        for w_start, w_end, _amount in windows:
+            if w_start < end and start < w_end:
+                boundaries.add(max(start, w_start))
+        minimum = size
+        for t in boundaries:
+            taken = sum(amount for w_start, w_end, amount in windows if w_start <= t < w_end)
+            minimum = min(minimum, max(0, size - taken))
+        return minimum
+
+    return min_capacity
+
+
+class SpaceSite:
+    """One space-shared machine under one policy.
+
+    Holds the :class:`~repro.machine.cluster.Machine`, the wait queue and the
+    running jobs, and runs the scheduling pass.  The driver owns time and
+    events: it appends arrivals to :attr:`queue`, starts what :meth:`select`
+    returns and calls :meth:`finish` when a job ends or is killed.  ``label``
+    prefixes the contract-violation messages (``"site a: "``).
+    """
+
+    def __init__(self, size: int, scheduler: Scheduler, label: str = "") -> None:
+        self.machine = Machine(size=size)
+        self.scheduler = scheduler
+        self.label = label
+        self.queue: List[JobRequest] = []
+        self.running: Dict[int, _Running] = {}
+
+    def state(
+        self, now: float, min_capacity: Optional[Callable[[float, float], int]] = None
+    ) -> SchedulerState:
+        """The policy's snapshot of this machine at ``now``."""
+        running_infos = [
+            RunningJobInfo(
+                request=r.request,
+                start_time=r.start_time,
+                expected_end=max(r.expected_end, now),
+            )
+            for r in self.running.values()
+        ]
+        return SchedulerState(
+            now=now,
+            total_processors=self.machine.size,
+            free_processors=self.machine.free_count(),
+            queue=list(self.queue),
+            running=running_infos,
+            min_capacity=min_capacity,
+        )
+
+    def select(
+        self, now: float, min_capacity: Callable[[float, float], int]
+    ) -> List[JobRequest]:
+        """Ask the policy which queued jobs to start now, and dequeue them.
+
+        The whole selection is checked before anything changes: every job
+        must be queued, selected once, and together fit the free processors;
+        a policy that breaks this raises :class:`RuntimeError`, so policy
+        bugs surface in tests rather than as silently wrong results.
+        """
+        state = self.state(now, min_capacity)
+        selected = self.scheduler.select_jobs(state)
+        if not selected:
+            return []
+        queued_ids = {r.job_id for r in self.queue}
+        selected_ids = set()
+        total_requested = 0
+        for request in selected:
+            if request.job_id not in queued_ids or request.job_id in selected_ids:
+                raise RuntimeError(
+                    f"{self.label}scheduler {self.scheduler.name!r} selected job "
+                    f"{request.job_id} which is not in the wait queue"
+                )
+            selected_ids.add(request.job_id)
+            total_requested += request.processors
+        if total_requested > state.free_processors:
+            raise RuntimeError(
+                f"{self.label}scheduler {self.scheduler.name!r} over-committed the machine: "
+                f"selected {total_requested} processors with {state.free_processors} free"
+            )
+        self.queue = [r for r in self.queue if r.job_id not in selected_ids]
+        return selected
+
+    def start(
+        self, request: JobRequest, now: float, handle: Optional[int] = None, restarts: int = 0
+    ) -> None:
+        """Allocate processors to ``request`` and record it as running."""
+        self.machine.allocate(request.job_id, request.processors)
+        self.running[request.job_id] = _Running(
+            request=request,
+            start_time=now,
+            expected_end=now + request.estimate,
+            completion_handle=handle,
+            restarts=restarts,
+        )
+
+    def finish(self, job_id: int) -> Optional[_Running]:
+        """Take ``job_id`` off the machine; ``None`` if it is not running."""
+        running = self.running.pop(job_id, None)
+        if running is not None:
+            self.machine.release(job_id)
+        return running
 
 
 class MachineSimulation:
@@ -70,7 +216,7 @@ class MachineSimulation:
         size = machine_size or workload.header.max_nodes or workload.max_processors()
         if not size:
             raise ValueError("machine size is unknown: pass machine_size explicitly")
-        self.machine = Machine(size=int(size))
+        self.site = SpaceSite(int(size), scheduler)
         self.outages = outages if outages is not None else OutageLog([])
         self.honor_dependencies = honor_dependencies
         self.restart_failed_jobs = restart_failed_jobs
@@ -81,8 +227,6 @@ class MachineSimulation:
         #: as the contextvar scope during :meth:`run` so schedulers' module-
         #: level ``count()`` calls land here.
         self._telemetry = Telemetry()
-        self._queue: List[JobRequest] = []
-        self._running: Dict[int, _Running] = {}
         self._results: List[JobResult] = []
         self._outage_kills = 0
         self._skipped_too_large = 0
@@ -91,32 +235,22 @@ class MachineSimulation:
         self._waiting_on: Dict[int, List[Tuple[JobRequest, int]]] = {}
         self._released: set = set()
         self._restart_counts: Dict[int, int] = {}
-        # Announced-outage cache for _capacity_fn: simulation time only moves
-        # forward, so records are consumed from an announce-time-sorted list
-        # exactly once instead of rescanning the whole log every pass.
+        # Announced outages as (start, end, nodes) capacity windows: simulation
+        # time only moves forward, so records are consumed from an
+        # announce-time-sorted list exactly once instead of rescanning the
+        # whole log every pass.
         self._by_announce = sorted(self.outages, key=lambda r: r.announced_time)
-        self._announced: List = []
+        self._announced: List[Tuple[int, int, int]] = []
         self._announce_index = 0
+        self._min_capacity = window_capacity(self.site.machine.size, self._announced)
 
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
-    def _build_requests(self) -> List[JobRequest]:
-        requests = []
-        for job in self.workload.summary_jobs():
-            try:
-                request = JobRequest.from_swf(job)
-            except ValueError:
-                self._skipped_too_large += 1
-                continue
-            if request.processors > self.machine.size:
-                self._skipped_too_large += 1
-                continue
-            requests.append(request)
-        return requests
-
     def _seed_events(self) -> None:
-        requests = self._build_requests()
+        requests, self._skipped_too_large = admit(
+            self.workload.summary_jobs(), self.site.machine.size
+        )
         present = {r.job_id for r in requests}
         for request in requests:
             job = request.job
@@ -151,37 +285,27 @@ class MachineSimulation:
             )
 
     def _outage_nodes(self, record) -> List[int]:
+        size = self.site.machine.size
         if record.components:
-            return [c for c in record.components if 0 <= c < self.machine.size]
+            return [c for c in record.components if 0 <= c < size]
         # Unspecified components: take the highest-numbered nodes, a stable
         # deterministic choice that keeps results reproducible.
-        count = min(record.nodes_affected, self.machine.size)
-        return list(range(self.machine.size - count, self.machine.size))
+        count = min(record.nodes_affected, size)
+        return list(range(size - count, size))
 
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, request: JobRequest) -> None:
-        self._queue.append(request)
+        self.site.queue.append(request)
         self._submit_times.setdefault(request.job_id, self.sim.now)
         self._schedule_pass()
 
     def _on_completion(self, job_id: int) -> None:
-        running = self._running.pop(job_id, None)
+        running = self.site.finish(job_id)
         if running is None:  # completion of a job killed by an outage
             return
-        self.machine.release(job_id)
-        self._results.append(
-            JobResult(
-                job=running.request.job,
-                submit_time=self._submit_times[job_id],
-                start_time=running.start_time,
-                end_time=self.sim.now,
-                processors=running.request.processors,
-                killed=False,
-                restarts=running.restarts,
-            )
-        )
+        self._results.append(running.result(self._submit_times[job_id], self.sim.now))
         self._release_dependents(job_id)
         self._schedule_pass()
 
@@ -198,142 +322,54 @@ class MachineSimulation:
             )
 
     def _on_outage_start(self, record, node_ids: List[int]) -> None:
-        victims = self.machine.fail_nodes(node_ids)
+        victims = self.site.machine.fail_nodes(node_ids)
         for job_id in victims:
-            running = self._running.pop(job_id, None)
+            running = self.site.finish(job_id)
             if running is None:
                 continue
             self.sim.cancel(running.completion_handle)
-            self.machine.release(job_id)
             self._outage_kills += 1
             if self.restart_failed_jobs and running.restarts < self.max_restarts:
-                request = running.request
                 # Restart from scratch: back into the queue at the current time.
-                restarted = JobRequest(
-                    job=request.job,
-                    processors=request.processors,
-                    runtime=request.runtime,
-                    estimate=request.estimate,
-                    submit_time=int(self.sim.now),
-                )
-                self._queue.append(restarted)
-                self._restart_counts[request.job_id] = running.restarts + 1
+                self.site.queue.append(replace(running.request, submit_time=int(self.sim.now)))
+                self._restart_counts[job_id] = running.restarts + 1
             else:
                 self._results.append(
-                    JobResult(
-                        job=running.request.job,
-                        submit_time=self._submit_times[job_id],
-                        start_time=running.start_time,
-                        end_time=self.sim.now,
-                        processors=running.request.processors,
-                        killed=True,
-                        restarts=running.restarts,
-                    )
+                    running.result(self._submit_times[job_id], self.sim.now, killed=True)
                 )
                 self._release_dependents(job_id)
         self._schedule_pass()
 
     def _on_outage_end(self, node_ids: List[int]) -> None:
-        self.machine.restore_nodes(node_ids)
+        self.site.machine.restore_nodes(node_ids)
         self._schedule_pass()
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _capacity_fn(self):
-        """Announced-capacity function for outage-aware policies."""
+    def _schedule_pass(self) -> None:
+        site = self.site
+        if not site.queue:
+            return
+        self._telemetry.counter("sched_passes").inc()
+        self._telemetry.gauge("max_queue_depth").set_max(len(site.queue))
         now = self.sim.now
         while (
             self._announce_index < len(self._by_announce)
             and self._by_announce[self._announce_index].announced_time <= now
         ):
-            self._announced.append(self._by_announce[self._announce_index])
+            record = self._by_announce[self._announce_index]
+            self._announced.append((record.start_time, record.end_time, record.nodes_affected))
             self._announce_index += 1
-        announced = self._announced
-        machine_size = self.machine.size
-
-        def min_capacity(start: float, end: float) -> int:
-            if not announced:
-                return machine_size
-            boundaries = {start}
-            for record in announced:
-                if record.overlaps(int(start), int(max(end, start + 1))):
-                    boundaries.add(max(start, record.start_time))
-            minimum = machine_size
-            for t in boundaries:
-                down = sum(
-                    r.nodes_affected
-                    for r in announced
-                    if r.start_time <= t < r.end_time
-                )
-                minimum = min(minimum, max(0, machine_size - down))
-            return minimum
-
-        return min_capacity
-
-    def _state(self) -> SchedulerState:
-        running_infos = [
-            RunningJobInfo(
-                request=r.request,
-                start_time=r.start_time,
-                expected_end=max(r.expected_end, self.sim.now),
+        for request in site.select(now, self._min_capacity):
+            self._telemetry.counter("jobs_started").inc()
+            handle = self.sim.schedule(
+                request.runtime,
+                self._on_completion,
+                request.job_id,
+                priority=_PRIORITY_COMPLETION,
             )
-            for r in self._running.values()
-        ]
-        return SchedulerState(
-            now=self.sim.now,
-            total_processors=self.machine.size,
-            free_processors=self.machine.free_count(),
-            queue=list(self._queue),
-            running=running_infos,
-            min_capacity=self._capacity_fn(),
-        )
-
-    def _schedule_pass(self) -> None:
-        if not self._queue:
-            return
-        self._telemetry.counter("sched_passes").inc()
-        self._telemetry.gauge("max_queue_depth").set_max(len(self._queue))
-        state = self._state()
-        selected = self.scheduler.select_jobs(state)
-        if not selected:
-            return
-        selected_ids = set()
-        total_requested = 0
-        queued_ids = {r.job_id for r in self._queue}
-        for request in selected:
-            if request.job_id not in queued_ids or request.job_id in selected_ids:
-                raise RuntimeError(
-                    f"scheduler {self.scheduler.name!r} selected job {request.job_id} "
-                    "which is not in the wait queue"
-                )
-            selected_ids.add(request.job_id)
-            total_requested += request.processors
-        if total_requested > state.free_processors:
-            raise RuntimeError(
-                f"scheduler {self.scheduler.name!r} over-committed the machine: "
-                f"selected {total_requested} processors with {state.free_processors} free"
-            )
-        for request in selected:
-            self._start_job(request)
-        self._queue = [r for r in self._queue if r.job_id not in selected_ids]
-
-    def _start_job(self, request: JobRequest) -> None:
-        self._telemetry.counter("jobs_started").inc()
-        self.machine.allocate(request.job_id, request.processors)
-        handle = self.sim.schedule(
-            request.runtime,
-            self._on_completion,
-            request.job_id,
-            priority=_PRIORITY_COMPLETION,
-        )
-        self._running[request.job_id] = _Running(
-            request=request,
-            start_time=self.sim.now,
-            expected_end=self.sim.now + request.estimate,
-            completion_handle=handle,
-            restarts=self._restart_counts.get(request.job_id, 0),
-        )
+            site.start(request, now, handle, self._restart_counts.get(request.job_id, 0))
 
     # ------------------------------------------------------------------
     # public API
@@ -348,7 +384,7 @@ class MachineSimulation:
         counters["peak_event_queue"] = self.sim.peak_queue
         result = SimulationResult(
             scheduler_name=self.scheduler.name,
-            machine_size=self.machine.size,
+            machine_size=self.site.machine.size,
             jobs=sorted(self._results, key=lambda j: j.job_id),
             outage_kills=self._outage_kills,
             metadata={
@@ -361,7 +397,7 @@ class MachineSimulation:
         if len(self.outages) > 0:
             from repro.core.outage.availability import AvailabilityTimeline
 
-            timeline = AvailabilityTimeline(self.machine.size, self.outages)
+            timeline = AvailabilityTimeline(self.site.machine.size, self.outages)
             result.available_node_seconds = float(
                 timeline.available_node_seconds(0, int(result.makespan) + 1)
             )

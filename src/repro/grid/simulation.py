@@ -17,10 +17,13 @@ followed directly:
   site's guaranteed-availability profile, and the sites drain around the
   reserved window).
 
-The per-site scheduling logic reuses the standard policies from
-:mod:`repro.schedulers`; reservation awareness reuses the same capacity hook
-that outage-aware policies use (a reservation is, to the local scheduler,
-indistinguishable from an announced outage of the reserved processors).
+Each site runs on :class:`repro.evaluation.simulator.SpaceSite`, the same
+machine, queue and scheduling pass as the single-machine evaluation driver,
+under one of the standard policies from :mod:`repro.schedulers`.
+Reservation awareness reuses the same capacity hook that outage-aware
+policies use (a reservation is, to the local scheduler, indistinguishable
+from an announced outage of the reserved processors): both are windows for
+:func:`repro.evaluation.simulator.window_capacity`.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
 from repro.evaluation.results import JobResult, SimulationResult
+from repro.evaluation.simulator import SpaceSite, window_capacity
 from repro.grid.metaschedulers import MetaScheduler, SiteView
 from repro.grid.prediction import WaitPredictor
 from repro.grid.site import MetaComponent, MetaJob, Site
-from repro.machine.cluster import Machine
-from repro.schedulers.base import JobRequest, RunningJobInfo, SchedulerState
+from repro.schedulers.base import JobRequest, admit
 from repro.simulation.engine import Simulator
 
 __all__ = ["MetaJobResult", "GridResult", "GridSimulation"]
@@ -44,8 +46,9 @@ _PRIORITY_COMPLETION = 0
 _PRIORITY_CLAIM = 1
 _PRIORITY_ARRIVAL = 2
 
-#: Offset added to meta-job ids so their synthetic SWF numbers never collide
-#: with local job numbers inside a site's queue.
+#: Offset added to meta-job ids to number their components in a site's queue:
+#: a queued job is a meta component exactly when its number is at least this,
+#: so local job numbers must stay below it.
 _META_ID_BASE = 10_000_000
 
 
@@ -119,21 +122,6 @@ class GridResult:
 # internal bookkeeping
 # ----------------------------------------------------------------------
 @dataclass
-class _QueueEntry:
-    request: JobRequest
-    kind: str                      # "local" or "meta"
-    meta_id: Optional[int] = None
-    component: Optional[MetaComponent] = None
-
-
-@dataclass
-class _SiteRunning:
-    entry: _QueueEntry
-    start_time: float
-    expected_end: float
-
-
-@dataclass
 class _MetaState:
     job: MetaJob
     mapping: Dict[str, MetaComponent]
@@ -145,64 +133,19 @@ class _MetaState:
     predicted_site: Optional[str] = None
 
 
-class _SiteState:
-    """Mutable per-site simulation state."""
+class _SiteState(SpaceSite):
+    """One site's machine and queue, plus its reservation calendar and local results."""
 
     def __init__(self, site: Site) -> None:
+        super().__init__(site.machine_size, site.scheduler, label=f"site {site.name}: ")
         self.site = site
-        self.machine = Machine(size=site.machine_size)
-        self.queue: List[_QueueEntry] = []
-        self.running: Dict[int, _SiteRunning] = {}
-        #: (start, end, processors, meta_id) reservation calendar
-        self.reservations: List[List[float]] = []
+        #: meta id -> (start, end, processors) advance reservation
+        self.reservations: Dict[int, Tuple[float, float, int]] = {}
         self.local_results: List[JobResult] = []
         self.local_submit: Dict[int, float] = {}
 
-    def free(self) -> int:
-        return self.machine.free_count()
-
-    def reserved_capacity_fn(self, size: int) -> Callable[[float, float], int]:
-        reservations = list(self.reservations)
-
-        def min_capacity(start: float, end: float) -> int:
-            if not reservations:
-                return size
-            boundaries = {start}
-            for r_start, r_end, _procs, _mid in reservations:
-                if r_start < end and start < r_end:
-                    boundaries.add(max(start, r_start))
-            minimum = size
-            for t in boundaries:
-                reserved = sum(
-                    procs
-                    for r_start, r_end, procs, _mid in reservations
-                    if r_start <= t < r_end
-                )
-                minimum = min(minimum, max(0, size - reserved))
-            return minimum
-
-        return min_capacity
-
-    def scheduler_state(self, now: float) -> SchedulerState:
-        running_infos = [
-            RunningJobInfo(
-                request=r.entry.request,
-                start_time=r.start_time,
-                expected_end=max(r.expected_end, now),
-            )
-            for r in self.running.values()
-        ]
-        return SchedulerState(
-            now=now,
-            total_processors=self.site.machine_size,
-            free_processors=self.free(),
-            queue=[e.request for e in self.queue],
-            running=running_infos,
-            min_capacity=self.reserved_capacity_fn(self.site.machine_size),
-        )
-
     def view(self, now: float) -> SiteView:
-        state = self.scheduler_state(now)
+        state = self.state(now)
         return SiteView(
             name=self.site.name,
             total_processors=self.site.machine_size,
@@ -211,7 +154,7 @@ class _SiteState:
             now=now,
             queued=state.queue,
             running=state.running,
-            reservations=[(s, e, p) for s, e, p, _ in self.reservations],
+            reservations=list(self.reservations.values()),
         )
 
 
@@ -233,6 +176,18 @@ class GridSimulation:
         if len(set(names)) != len(names):
             raise ValueError("site names must be unique")
         self.sites = {s.name: _SiteState(s) for s in sites}
+        self._local_requests: Dict[str, List[JobRequest]] = {}
+        for site in sites:
+            if site.local_workload is None:
+                continue
+            requests, _skipped = admit(site.local_workload.summary_jobs(), site.machine_size)
+            for request in requests:
+                if request.job_id >= _META_ID_BASE:
+                    raise ValueError(
+                        f"site {site.name}: local job {request.job_id} is numbered at or "
+                        f"above {_META_ID_BASE}, the range reserved for meta jobs"
+                    )
+            self._local_requests[site.name] = requests
         self.meta_jobs = sorted(meta_jobs, key=lambda j: (j.submit_time, j.job_id))
         self.meta_scheduler = meta_scheduler
         self.use_reservations = use_reservations
@@ -255,21 +210,12 @@ class GridSimulation:
     # setup
     # ------------------------------------------------------------------
     def _seed_events(self) -> None:
-        for state in self.sites.values():
-            workload = state.site.local_workload
-            if workload is None:
-                continue
-            for job in workload.summary_jobs():
-                try:
-                    request = JobRequest.from_swf(job)
-                except ValueError:
-                    continue
-                if request.processors > state.site.machine_size:
-                    continue
+        for site_name, requests in self._local_requests.items():
+            for request in requests:
                 self.sim.schedule_at(
                     request.submit_time,
                     self._on_local_arrival,
-                    state.site.name,
+                    site_name,
                     request,
                     priority=_PRIORITY_ARRIVAL,
                 )
@@ -286,25 +232,15 @@ class GridSimulation:
     # ------------------------------------------------------------------
     def _on_local_arrival(self, site_name: str, request: JobRequest) -> None:
         state = self.sites[site_name]
-        state.queue.append(_QueueEntry(request=request, kind="local"))
+        state.queue.append(request)
         state.local_submit[request.job_id] = self.sim.now
         self._schedule_pass(site_name)
 
     def _on_local_completion(self, site_name: str, job_id: int) -> None:
         state = self.sites[site_name]
-        running = state.running.pop(job_id, None)
-        if running is None:
-            return
-        state.machine.release(job_id)
+        running = state.finish(job_id)
         state.local_results.append(
-            JobResult(
-                job=running.entry.request.job,
-                submit_time=state.local_submit[running.entry.request.job_id],
-                start_time=running.start_time,
-                end_time=self.sim.now,
-                processors=running.entry.request.processors,
-                site=site_name,
-            )
+            running.result(state.local_submit[job_id], self.sim.now, site=site_name)
         )
         self._schedule_pass(site_name)
 
@@ -373,9 +309,10 @@ class GridSimulation:
 
         if meta_state.use_reservation and planned_start is not None:
             for site_name, component in mapping.items():
-                state = self.sites[site_name]
-                state.reservations.append(
-                    [planned_start, planned_start + job.estimate, component.processors, job.job_id]
+                self.sites[site_name].reservations[job.job_id] = (
+                    planned_start,
+                    planned_start + job.estimate,
+                    component.processors,
                 )
                 self._schedule_pass(site_name)
             self.sim.schedule_at(
@@ -387,12 +324,7 @@ class GridSimulation:
         else:
             for site_name, component in mapping.items():
                 state = self.sites[site_name]
-                request = self._meta_request(job, component, state.site)
-                state.queue.append(
-                    _QueueEntry(
-                        request=request, kind="meta", meta_id=job.job_id, component=component
-                    )
-                )
+                state.queue.append(self._meta_request(job, component, state.site))
                 self._schedule_pass(site_name)
 
     def _on_reservation_claim(self, meta_id: int) -> None:
@@ -400,17 +332,10 @@ class GridSimulation:
         meta_state = self._meta_states[meta_id]
         for site_name, component in meta_state.mapping.items():
             state = self.sites[site_name]
-            state.reservations = [r for r in state.reservations if r[3] != meta_id]
-            request = self._meta_request(meta_state.job, component, state.site)
-            entry = _QueueEntry(
-                request=request,
-                kind="meta",
-                meta_id=meta_id,
-                component=component,
-            )
+            del state.reservations[meta_id]
             # Reservation-backed components go to the head of the queue: the
             # site already drained capacity for them.
-            state.queue.insert(0, entry)
+            state.queue.insert(0, self._meta_request(meta_state.job, component, state.site))
             self._schedule_pass(site_name)
 
     def _component_started(self, site_name: str, meta_id: int) -> None:
@@ -432,16 +357,10 @@ class GridSimulation:
         meta_state = self._meta_states[meta_id]
         start = max(meta_state.component_starts.values())
         wasted = 0.0
-        touched_sites = []
         for site_name, component in meta_state.mapping.items():
-            state = self.sites[site_name]
-            job_key = _META_ID_BASE + meta_id
-            running = state.running.pop(job_key, None)
-            if running is not None:
-                state.machine.release(job_key)
+            self.sites[site_name].finish(_META_ID_BASE + meta_id)
             component_start = meta_state.component_starts[site_name]
             wasted += component.processors * max(0.0, start - component_start)
-            touched_sites.append(site_name)
 
         self._meta_results.append(
             MetaJobResult(
@@ -467,7 +386,7 @@ class GridSimulation:
                     component.processors, meta_state.job.estimate, actual_wait
                 )
 
-        for site_name in touched_sites:
+        for site_name in meta_state.mapping:
             self._schedule_pass(site_name)
 
     # ------------------------------------------------------------------
@@ -477,45 +396,21 @@ class GridSimulation:
         state = self.sites[site_name]
         if not state.queue:
             return
-        scheduler_state = state.scheduler_state(self.sim.now)
-        selected = state.site.scheduler.select_jobs(scheduler_state)
-        if not selected:
-            return
-        entries_by_id = {e.request.job_id: e for e in state.queue}
-        started_ids = set()
-        total = 0
-        for request in selected:
-            if request.job_id not in entries_by_id or request.job_id in started_ids:
-                raise RuntimeError(
-                    f"site {site_name}: scheduler selected job {request.job_id} "
-                    "which is not in the wait queue"
+        now = self.sim.now
+        capacity = window_capacity(state.machine.size, state.reservations.values())
+        for request in state.select(now, capacity):
+            state.start(request, now)
+            if request.job_id >= _META_ID_BASE:
+                # Meta completions are driven by _component_started.
+                self._component_started(site_name, request.job_id - _META_ID_BASE)
+            else:
+                self.sim.schedule(
+                    request.runtime,
+                    self._on_local_completion,
+                    site_name,
+                    request.job_id,
+                    priority=_PRIORITY_COMPLETION,
                 )
-            started_ids.add(request.job_id)
-            total += request.processors
-        if total > scheduler_state.free_processors:
-            raise RuntimeError(f"site {site_name}: scheduler over-committed the machine")
-        for request in selected:
-            self._start_entry(state, entries_by_id[request.job_id], request)
-        state.queue = [e for e in state.queue if e.request.job_id not in started_ids]
-
-    def _start_entry(self, state: _SiteState, entry: _QueueEntry, request: JobRequest) -> None:
-        state.machine.allocate(request.job_id, request.processors)
-        # Meta completions are driven by _component_started.
-        if entry.kind == "local":
-            self.sim.schedule(
-                request.runtime,
-                self._on_local_completion,
-                state.site.name,
-                request.job_id,
-                priority=_PRIORITY_COMPLETION,
-            )
-        state.running[request.job_id] = _SiteRunning(
-            entry=entry,
-            start_time=self.sim.now,
-            expected_end=self.sim.now + request.estimate,
-        )
-        if entry.kind == "meta":
-            self._component_started(state.site.name, entry.meta_id)
 
     # ------------------------------------------------------------------
     # public API

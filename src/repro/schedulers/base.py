@@ -1,8 +1,11 @@
 """Scheduler interface and the data structures shared by all policies.
 
-The evaluation driver (:mod:`repro.evaluation.simulator`) is event-driven: at
-every job arrival, job completion, or outage event it builds a
-:class:`SchedulerState` snapshot and asks the policy which queued jobs to
+Both event drivers, the evaluation driver (:mod:`repro.evaluation.simulator`)
+and each site of the grid (:mod:`repro.grid.simulation`), run a machine
+through :class:`repro.evaluation.simulator.SpaceSite`: at every job arrival,
+job completion, or outage event
+:meth:`~repro.evaluation.simulator.SpaceSite.state` builds a
+:class:`SchedulerState` snapshot and the policy is asked which queued jobs to
 start *now*.  Policies never see actual runtimes — only the user estimate
 (field 9 of the SWF, falling back to the actual runtime when no estimate is
 recorded), exactly the information a production scheduler has.
@@ -16,13 +19,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
 
 __all__ = [
     "JobRequest",
+    "admit",
     "RunningJobInfo",
     "SchedulerState",
     "Scheduler",
@@ -79,6 +83,24 @@ class JobRequest:
             estimate=int(max(estimate, 0)),
             submit_time=int(submit),
         )
+
+
+def admit(jobs: Iterable[SWFJob], machine_size: int) -> Tuple[List[JobRequest], int]:
+    """Requests for the jobs a machine of ``machine_size`` can run, and how
+    many were skipped: no usable processor count, or wider than the machine."""
+    requests = []
+    skipped = 0
+    for job in jobs:
+        try:
+            request = JobRequest.from_swf(job)
+        except ValueError:
+            skipped += 1
+            continue
+        if request.processors > machine_size:
+            skipped += 1
+            continue
+        requests.append(request)
+    return requests, skipped
 
 
 @dataclass(frozen=True)

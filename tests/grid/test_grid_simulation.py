@@ -17,7 +17,6 @@ from repro.grid import (
 )
 from repro.bench.seeds import derive_seeds
 from repro.schedulers import EasyBackfillScheduler, FCFSScheduler
-from repro.schedulers.base import Scheduler
 from repro.workloads import Lublin99Model
 from tests.conftest import make_job, make_workload
 
@@ -99,22 +98,21 @@ class TestSingleSiteMetaJobs:
             assert len(site_result.jobs) == 50
 
 
-class TestSchedulerContract:
-    def test_duplicate_selection_rejected_before_any_start(self):
-        class Doubler(Scheduler):
-            name = "doubler"
+class TestJobNumbering:
+    def test_local_job_in_meta_id_range_rejected(self):
+        # Meta components are numbered from 10,000,000 in a site's queue; a
+        # local job there would be taken for one.
+        workload = make_workload([make_job(10_000_001, submit=0, runtime=100, processors=4)])
+        site = Site(name="s0", machine_size=16, scheduler=FCFSScheduler(), local_workload=workload)
+        with pytest.raises(ValueError, match="site s0: local job 10000001"):
+            GridSimulation([site], [single_meta_job(job_id=1)], LeastLoadedMetaScheduler())
 
-            def select_jobs(self, state):
-                return [state.queue[0], state.queue[0]] if state.queue else []
-
-        workload = make_workload([make_job(1, submit=0, runtime=100, processors=4)])
-        site = Site(name="s0", machine_size=16, scheduler=Doubler(), local_workload=workload)
-        grid = GridSimulation([site], [], LeastLoadedMetaScheduler())
-        with pytest.raises(RuntimeError, match="not in the wait queue"):
-            grid.run()
-        state = grid.sites["s0"]
-        assert state.running == {}
-        assert state.machine.free_count() == 16
+    def test_local_job_just_below_meta_id_range_accepted(self):
+        workload = make_workload([make_job(9_999_999, submit=0, runtime=100, processors=4)])
+        site = Site(name="s0", machine_size=16, scheduler=FCFSScheduler(), local_workload=workload)
+        result = GridSimulation([site], [single_meta_job(job_id=1)], LeastLoadedMetaScheduler()).run()
+        assert [j.job_id for j in result.site_results["s0"].jobs] == [9_999_999]
+        assert len(result.meta_results) == 1
 
 
 class TestCoallocation:

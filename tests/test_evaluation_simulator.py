@@ -8,7 +8,7 @@ from repro.core.outage import OutageLog, OutageRecord, OutageType
 from repro.core.swf import MISSING
 from repro.evaluation import MachineSimulation, simulate
 from repro.schedulers import EasyBackfillScheduler, FCFSScheduler
-from repro.schedulers.base import JobRequest, Scheduler
+from repro.schedulers.base import Scheduler
 from tests.conftest import make_job, make_workload
 
 
@@ -73,34 +73,6 @@ class TestBasicReplay:
         workload.header.set("MaxNodes", "")
         with pytest.raises(ValueError):
             MachineSimulation(workload, FCFSScheduler())
-
-    def test_over_committing_scheduler_detected(self):
-        class Broken(Scheduler):
-            name = "broken"
-
-            def select_jobs(self, state):
-                return list(state.queue)  # ignores capacity
-
-        jobs = [make_job(1, submit=0, processors=16), make_job(2, submit=0, processors=16)]
-        with pytest.raises(RuntimeError):
-            simulate(make_workload(jobs), Broken(), machine_size=16)
-
-    def test_scheduler_selecting_unknown_job_detected(self):
-        class Phantom(Scheduler):
-            name = "phantom"
-
-            def select_jobs(self, state):
-                ghost = JobRequest(
-                    job=make_job(99, processors=1),
-                    processors=1,
-                    runtime=1,
-                    estimate=1,
-                    submit_time=0,
-                )
-                return [ghost]
-
-        with pytest.raises(RuntimeError):
-            simulate(make_workload([make_job(1, submit=0)]), Phantom(), machine_size=16)
 
 
 class TestDependencies:
