@@ -72,19 +72,28 @@ def _parse_job_line(text: str, line_number: int) -> SWFJob:
         raise SWFParseError(
             f"expected {FIELD_COUNT} fields, found {len(tokens)}", line_number
         )
-    values = []
-    for token in tokens:
-        try:
-            values.append(int(token))
-        except ValueError:
-            # The standard mandates integers; some archive files carry floats
-            # (e.g. fractional seconds).  Accept a float token only when it is
-            # numeric, truncating toward zero, to stay practical while keeping
-            # garbage out.
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        values = []
+        for token in tokens:
             try:
-                values.append(int(float(token)))
-            except ValueError as exc:
-                raise SWFParseError(f"non-numeric field value {token!r}", line_number) from exc
+                values.append(int(token))
+            except ValueError:
+                # The standard mandates integers; some archive files carry floats
+                # (e.g. fractional seconds).  Accept a float token only when it is
+                # numeric, truncating toward zero, to stay practical while keeping
+                # garbage out.
+                try:
+                    values.append(int(float(token)))
+                except (ValueError, OverflowError) as exc:
+                    # OverflowError: 'inf' parses as a float but has no integer.
+                    raise SWFParseError(f"non-numeric field value {token!r}", line_number) from exc
+    else:
+        # Canonical SWF: 18 ints and a positive job number are exactly what
+        # SWFJob's validation would accept unchanged, so skip it.
+        if values[0] >= 1:
+            return SWFJob._from_trusted_fields(values)
     try:
         return SWFJob.from_fields(values)
     except (TypeError, ValueError) as exc:

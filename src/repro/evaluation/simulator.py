@@ -27,6 +27,7 @@ dependency events around one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import is_
 from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.core.outage.log import OutageLog
@@ -153,28 +154,40 @@ class SpaceSite:
         must be queued, selected once, and together fit the free processors;
         a policy that breaks this raises :class:`RuntimeError`, so policy
         bugs surface in tests rather than as silently wrong results.
+
+        A selection that is, object for object, the head of the queue (FCFS
+        always; backfilling when nothing jumps ahead) is queued by
+        construction, so it costs O(selected): only the duplicate and
+        capacity checks run, and the head is cut off in place.  Any other
+        selection is matched against the queue by job id.
         """
         state = self.state(now, min_capacity)
         selected = self.scheduler.select_jobs(state)
         if not selected:
             return []
-        queued_ids = {r.job_id for r in self.queue}
+        queue = self.queue
+        prefix = len(selected) <= len(queue) and all(map(is_, selected, queue))
+        queued_ids = None if prefix else {r.job_id for r in queue}
         selected_ids = set()
         total_requested = 0
         for request in selected:
-            if request.job_id not in queued_ids or request.job_id in selected_ids:
+            job_id = request.job_id
+            if job_id in selected_ids or (queued_ids is not None and job_id not in queued_ids):
                 raise RuntimeError(
                     f"{self.label}scheduler {self.scheduler.name!r} selected job "
-                    f"{request.job_id} which is not in the wait queue"
+                    f"{job_id} which is not in the wait queue"
                 )
-            selected_ids.add(request.job_id)
+            selected_ids.add(job_id)
             total_requested += request.processors
         if total_requested > state.free_processors:
             raise RuntimeError(
                 f"{self.label}scheduler {self.scheduler.name!r} over-committed the machine: "
                 f"selected {total_requested} processors with {state.free_processors} free"
             )
-        self.queue = [r for r in self.queue if r.job_id not in selected_ids]
+        if prefix:
+            del queue[: len(selected)]
+        else:
+            self.queue = [r for r in queue if r.job_id not in selected_ids]
         return selected
 
     def start(
@@ -227,6 +240,9 @@ class MachineSimulation:
         #: as the contextvar scope during :meth:`run` so schedulers' module-
         #: level ``count()`` calls land here.
         self._telemetry = Telemetry()
+        self._passes = self._telemetry.counter("sched_passes")
+        self._queue_depth = self._telemetry.gauge("max_queue_depth")
+        self._jobs_started = self._telemetry.counter("jobs_started")
         self._results: List[JobResult] = []
         self._outage_kills = 0
         self._skipped_too_large = 0
@@ -351,8 +367,8 @@ class MachineSimulation:
         site = self.site
         if not site.queue:
             return
-        self._telemetry.counter("sched_passes").inc()
-        self._telemetry.gauge("max_queue_depth").set_max(len(site.queue))
+        self._passes.inc()
+        self._queue_depth.set_max(len(site.queue))
         now = self.sim.now
         while (
             self._announce_index < len(self._by_announce)
@@ -362,7 +378,7 @@ class MachineSimulation:
             self._announced.append((record.start_time, record.end_time, record.nodes_affected))
             self._announce_index += 1
         for request in site.select(now, self._min_capacity):
-            self._telemetry.counter("jobs_started").inc()
+            self._jobs_started.inc()
             handle = self.sim.schedule(
                 request.runtime,
                 self._on_completion,

@@ -64,6 +64,8 @@ class TelemetryError(ValueError):
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     """Canonical, order-independent series key for a label set."""
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

@@ -101,25 +101,6 @@ class FreeSpace:
     # ------------------------------------------------------------------
     # slot maintenance
     # ------------------------------------------------------------------
-    def _split_at(self, time: float) -> int:
-        """Ensure a slot boundary at ``time`` (clamped to now); return its index."""
-        time = max(float(time), self.now)
-        times = self._times
-        index = bisect_right(times, time)
-        if times[index - 1] == time:
-            return index - 1
-        times.insert(index, time)
-        self._free.insert(index, self._free[index - 1])
-        self.splits += 1
-        return index
-
-    def _merge_boundary(self, index: int) -> None:
-        """Drop the boundary before slot ``index`` if it separates equal slots."""
-        if 0 < index < len(self._times) and self._free[index - 1] == self._free[index]:
-            del self._times[index]
-            del self._free[index]
-            self.merges += 1
-
     def advance(self, now: float) -> None:
         """Move the slot origin forward to ``now``, dropping past slots."""
         now = float(now)
@@ -218,39 +199,52 @@ class FreeSpace:
         """Subtract ``processors`` over [start, end) (clamped to now)."""
         if processors < 0:
             raise ValueError("processors must be non-negative")
-        if end <= start or processors == 0:
-            return
-        start = max(start, self.now)
-        end = max(end, self.now)
-        if end <= start:
-            return
-        i0 = self._split_at(start)
-        i1 = self._split_at(end)
-        free = self._free
-        for i in range(i0, i1):
-            free[i] -= processors
-        # Only the window edges can become redundant: interior boundaries
-        # shift uniformly, so unequal neighbours stay unequal.
-        self._merge_boundary(i1)
-        self._merge_boundary(i0)
+        self._shift(start, end, -processors)
 
     def release(self, start: float, end: float, processors: int) -> None:
         """Give back ``processors`` over [start, end) — the inverse of reserve."""
         if processors < 0:
             raise ValueError("processors must be non-negative")
-        if end <= start or processors == 0:
+        self._shift(start, end, processors)
+
+    def _shift(self, start: float, end: float, delta: int) -> None:
+        """Add ``delta`` free processors over [start, end) (clamped to now).
+
+        Ensures slot boundaries at both window edges (at most two splits),
+        shifts the slots in between, then drops either edge if it now
+        separates equal slots.  Interior boundaries shift uniformly, so
+        unequal neighbours stay unequal and only the edges can merge.
+        """
+        now = self.now
+        start = float(start) if start > now else now
+        end = float(end) if end > now else now
+        if end <= start or not delta:
             return
-        start = max(start, self.now)
-        end = max(end, self.now)
-        if end <= start:
-            return
-        i0 = self._split_at(start)
-        i1 = self._split_at(end)
-        free = self._free
+        times, free = self._times, self._free
+        i0 = bisect_right(times, start)
+        if times[i0 - 1] == start:
+            i0 -= 1
+        else:
+            times.insert(i0, start)
+            free.insert(i0, free[i0 - 1])
+            self.splits += 1
+        i1 = bisect_right(times, end, i0)
+        if times[i1 - 1] == end:
+            i1 -= 1
+        else:
+            times.insert(i1, end)
+            free.insert(i1, free[i1 - 1])
+            self.splits += 1
         for i in range(i0, i1):
-            free[i] += processors
-        self._merge_boundary(i1)
-        self._merge_boundary(i0)
+            free[i] += delta
+        if i1 < len(times) and free[i1 - 1] == free[i1]:
+            del times[i1]
+            del free[i1]
+            self.merges += 1
+        if i0 and free[i0 - 1] == free[i0]:
+            del times[i0]
+            del free[i0]
+            self.merges += 1
 
     def clamp_capacity(self, capacity_fn: Callable[[float, float], int], horizon: float) -> None:
         """Clamp free counts to an external capacity function over [now, horizon).

@@ -21,6 +21,7 @@ old implementation returned.  These tests enforce that contract three ways:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import pytest
@@ -264,6 +265,114 @@ class TestFreeSpaceMatchesReference:
         assert len(set(times)) == len(times)
         # adjacent slots are always merged: no two neighbours share a level
         assert all(a != b for a, b in zip(frees, frees[1:]))
+
+
+# ----------------------------------------------------------------------
+# reserve/release vs the helper-based versions they replaced, verbatim
+# ----------------------------------------------------------------------
+class HelperFreeSpace(FreeSpace):
+    """``FreeSpace`` with its pre-inlining ``reserve``/``release`` bodies."""
+
+    def _split_at(self, time: float) -> int:
+        """Ensure a slot boundary at ``time`` (clamped to now); return its index."""
+        time = max(float(time), self.now)
+        times = self._times
+        index = bisect_right(times, time)
+        if times[index - 1] == time:
+            return index - 1
+        times.insert(index, time)
+        self._free.insert(index, self._free[index - 1])
+        self.splits += 1
+        return index
+
+    def _merge_boundary(self, index: int) -> None:
+        """Drop the boundary before slot ``index`` if it separates equal slots."""
+        if 0 < index < len(self._times) and self._free[index - 1] == self._free[index]:
+            del self._times[index]
+            del self._free[index]
+            self.merges += 1
+
+    def reserve(self, start: float, end: float, processors: int) -> None:
+        """Subtract ``processors`` over [start, end) (clamped to now)."""
+        if processors < 0:
+            raise ValueError("processors must be non-negative")
+        if end <= start or processors == 0:
+            return
+        start = max(start, self.now)
+        end = max(end, self.now)
+        if end <= start:
+            return
+        i0 = self._split_at(start)
+        i1 = self._split_at(end)
+        free = self._free
+        for i in range(i0, i1):
+            free[i] -= processors
+        # Only the window edges can become redundant: interior boundaries
+        # shift uniformly, so unequal neighbours stay unequal.
+        self._merge_boundary(i1)
+        self._merge_boundary(i0)
+
+    def release(self, start: float, end: float, processors: int) -> None:
+        """Give back ``processors`` over [start, end) — the inverse of reserve."""
+        if processors < 0:
+            raise ValueError("processors must be non-negative")
+        if end <= start or processors == 0:
+            return
+        start = max(start, self.now)
+        end = max(end, self.now)
+        if end <= start:
+            return
+        i0 = self._split_at(start)
+        i1 = self._split_at(end)
+        free = self._free
+        for i in range(i0, i1):
+            free[i] += processors
+        self._merge_boundary(i1)
+        self._merge_boundary(i0)
+
+
+_TIME = st.one_of(
+    st.integers(min_value=-50, max_value=600),
+    st.integers(min_value=-50, max_value=600).map(float),
+    st.floats(min_value=-50, max_value=600, allow_nan=False),
+)
+update_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["reserve", "release", "reserve", "release", "advance"]),
+        _TIME,  # start, or the new origin for advance
+        _TIME,  # end
+        st.integers(min_value=0, max_value=12),  # processors
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestInlinedUpdatesMatchHelpers:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=update_strategy, now=st.one_of(st.integers(0, 40), st.floats(0, 40)))
+    def test_same_slots_and_split_merge_counts(self, ops, now):
+        fs = FreeSpace(32, now)
+        ref = HelperFreeSpace(32, now)
+        for kind, start, end, procs in ops:
+            if kind == "advance":
+                if start >= fs.now:
+                    fs.advance(start)
+                    ref.advance(start)
+            else:
+                getattr(fs, kind)(start, end, procs)
+                getattr(ref, kind)(start, end, procs)
+            # slot times keep their type too: an int boundary where the old
+            # code stored a float would leak into schedules as a start time
+            assert [(type(t), t) for t in fs._times] == [(type(t), t) for t in ref._times]
+            assert fs._free == ref._free
+            assert (fs.splits, fs.merges) == (ref.splits, ref.merges)
+
+    def test_negative_processors_rejected(self):
+        fs = FreeSpace(8, 0.0)
+        for update in (fs.reserve, fs.release):
+            with pytest.raises(ValueError, match="non-negative"):
+                update(0, 10, -1)
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,27 @@ class TestFailures:
         machine.release(5)
         assert machine.free_count() == 3
 
+    def test_failure_across_two_jobs_and_a_down_node_then_restore_a_held_node(self):
+        machine = Machine(size=8)
+        assert machine.allocate(1, 3) == (0, 1, 2)
+        assert machine.allocate(2, 3) == (3, 4, 5)
+        assert machine.fail_nodes([7]) == []
+        # Victims come back sorted and once each, whatever the node order.
+        assert machine.fail_nodes([3, 7, 2, 4]) == [1, 2]
+        assert machine.free_count() == 1
+        # Job 1 still holds node 2: restoring it frees nothing yet.
+        machine.restore_nodes([2])
+        assert machine.free_count() == 1
+        machine.release(1)
+        assert machine.free_count() == 4
+        # Nodes 3 and 4 are still down when job 2 lets go of them.
+        machine.release(2)
+        assert machine.allocate(3, 4) == (0, 1, 2, 5)
+        assert machine.free_count() == 1
+        machine.restore_nodes([3, 4, 7])
+        assert machine.free_count() == 4
+        assert machine.allocate(4, 4) == (3, 4, 6, 7)
+
 
 class _ReferenceMachine:
     """Naive per-node model of :class:`Machine`: every query scans all nodes."""

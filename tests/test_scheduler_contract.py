@@ -3,7 +3,9 @@
 A policy's selection must be queued jobs, each selected once, that together
 fit the free processors.  :meth:`repro.evaluation.simulator.SpaceSite.select`
 checks this for the single-machine driver and for every grid site, and must
-reject a violation before any job starts.
+reject a violation before any job starts.  A selection that is the head of
+the queue takes a shorter path than any other selection; both paths are
+held to the whole contract here.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.evaluation import MachineSimulation
+from repro.evaluation.simulator import SpaceSite
 from repro.grid import GridSimulation, LeastLoadedMetaScheduler, Site
 from repro.schedulers.base import JobRequest, Scheduler
 from tests.conftest import make_job, make_workload
@@ -19,12 +22,22 @@ SIZE = 16
 
 
 class OverCommitter(Scheduler):
-    """Waits for two jobs, then starts both whatever the capacity."""
+    """Waits for two jobs, then starts both whatever the capacity: the
+    selection is the head of the queue."""
 
     name = "over-committer"
 
     def select_jobs(self, state):
         return list(state.queue) if len(state.queue) > 1 else []
+
+
+class ReversedOverCommitter(Scheduler):
+    """Waits for two jobs, then starts both out of queue order."""
+
+    name = "reversed-over-committer"
+
+    def select_jobs(self, state):
+        return list(reversed(state.queue)) if len(state.queue) > 1 else []
 
 
 class Phantom(Scheduler):
@@ -46,6 +59,15 @@ class Doubler(Scheduler):
         return [state.queue[0], state.queue[0]]
 
 
+class HeadPair(Scheduler):
+    """Waits for two jobs, then starts the first two: the head of the queue."""
+
+    name = "head-pair"
+
+    def select_jobs(self, state):
+        return state.queue[:2] if len(state.queue) > 1 else []
+
+
 def _machine(workload, scheduler):
     simulation = MachineSimulation(workload, scheduler, machine_size=SIZE)
     return simulation, simulation.site
@@ -62,10 +84,11 @@ def _grid(workload, scheduler):
     "scheduler, message",
     [
         (OverCommitter, "over-committed"),
+        (ReversedOverCommitter, "over-committed"),
         (Phantom, "not in the wait queue"),
         (Doubler, "not in the wait queue"),
     ],
-    ids=["over-commit", "phantom", "duplicate"],
+    ids=["over-commit", "over-commit-reordered", "phantom", "duplicate"],
 )
 def test_violation_rejected_before_any_start(driver, scheduler, message):
     jobs = [make_job(1, submit=0, processors=12), make_job(2, submit=0, processors=12)]
@@ -80,3 +103,53 @@ def test_grid_violation_names_the_site():
     simulation, _site = _grid(make_workload([make_job(1, processors=4)]), Doubler())
     with pytest.raises(RuntimeError, match="^site s0: scheduler 'doubler' selected job 1 "):
         simulation.run()
+
+
+@pytest.mark.parametrize("driver", [_machine, _grid], ids=["machine", "grid"])
+def test_duplicate_job_id_in_a_head_selection_rejected(driver):
+    # Two queued requests share job number 1; selecting the first two queue
+    # entries is a head selection that names job 1 twice.
+    jobs = [make_job(1, submit=0, processors=4), make_job(1, submit=0, processors=4)]
+    simulation, site = driver(make_workload(jobs), HeadPair())
+    with pytest.raises(
+        RuntimeError, match="scheduler 'head-pair' selected job 1 which is not in the wait queue"
+    ):
+        simulation.run()
+    assert site.running == {}
+    assert site.machine.free_count() == SIZE
+
+
+def test_head_selection_of_one_request_twice_rejected():
+    # The same request object queued twice makes [queue[0], queue[0]] a
+    # head selection, object for object.
+    site = SpaceSite(SIZE, Doubler())
+    request = JobRequest(job=make_job(1), processors=2, runtime=1, estimate=1, submit_time=0)
+    site.queue = [request, request]
+    with pytest.raises(RuntimeError, match="selected job 1 which is not in the wait queue"):
+        site.select(0.0, lambda start, end: SIZE)
+    assert site.queue == [request, request]
+    assert site.running == {}
+
+
+def test_head_and_other_selections_dequeue_what_they_select():
+    requests = [
+        JobRequest(job=make_job(i), processors=1, runtime=1, estimate=1, submit_time=0)
+        for i in (1, 2, 3, 4)
+    ]
+
+    class Pick(Scheduler):
+        name = "pick"
+
+        def __init__(self, positions):
+            super().__init__()
+            self.positions = positions
+
+        def select_jobs(self, state):
+            return [state.queue[i] for i in self.positions]
+
+    for positions, left in [((0, 1), [3, 4]), ((0, 2), [2, 4]), ((1,), [1, 3, 4])]:
+        site = SpaceSite(SIZE, Pick(positions))
+        site.queue = list(requests)
+        selected = site.select(0.0, lambda start, end: SIZE)
+        assert [r.job_id for r in selected] == [requests[i].job_id for i in positions]
+        assert [r.job_id for r in site.queue] == left
