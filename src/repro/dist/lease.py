@@ -9,6 +9,10 @@ loser of the race gets ``FileExistsError`` and moves on to the next unit.
 Liveness is the file's **mtime**: the owner refreshes it periodically (the
 heartbeat) while simulating, and a lease whose mtime is older than the TTL
 is *expired* — its owner is presumed dead (SIGKILL, host loss, partition).
+Every mtime is stamped by the file server's clock, so a lease's age is
+measured against that clock too: the mtime of a probe file touched in the
+lease directory just before the check.  A worker whose own clock is off
+by an hour still ages leases correctly.
 Reclaiming an expired lease must itself be race-free, so it goes through
 ``os.replace`` onto a per-claimant unique name: of N workers that all see
 the same expired lease, exactly one wins the rename, deletes the stale
@@ -43,6 +47,9 @@ __all__ = ["DEFAULT_TTL_SECONDS", "Heartbeat", "Lease", "LeaseBroker"]
 #: long units, yet short enough that a killed worker's units come back
 #: quickly.
 DEFAULT_TTL_SECONDS = 120.0
+
+#: The file whose mtime reads the file server's clock; not a ``*.lease``.
+_CLOCK_PROBE = ".clock-probe"
 
 
 @dataclass
@@ -146,13 +153,29 @@ class LeaseBroker:
             handle.write(json.dumps(payload, sort_keys=True))
         return Lease(path=path, key=key, owner=self.owner, token=token, ttl=self.ttl)
 
-    def is_expired(self, path: Path) -> Optional[bool]:
-        """Whether the lease at ``path`` has outlived its TTL (None: gone)."""
+    def server_time(self) -> float:
+        """The file server's clock now: the mtime of a freshly touched probe
+        file in the lease directory (the clock that stamps lease mtimes)."""
+        probe = self.root / _CLOCK_PROBE
         try:
-            age = time.time() - path.stat().st_mtime
+            os.utime(probe)
+        except FileNotFoundError:
+            self.root.mkdir(parents=True, exist_ok=True)
+            probe.touch()
+        return probe.stat().st_mtime
+
+    def is_expired(self, path: Path, now: Optional[float] = None) -> Optional[bool]:
+        """Whether the lease at ``path`` has outlived its TTL (None: gone).
+
+        ``now`` is a :meth:`server_time` reading; one is taken when omitted.
+        """
+        try:
+            mtime = path.stat().st_mtime
         except OSError:
             return None
-        return age > self.ttl
+        if now is None:
+            now = self.server_time()
+        return now - mtime > self.ttl
 
     def _reclaim_expired(self, path: Path, token: str) -> bool:
         """Remove ``path`` if expired; True when the slot is (now) free.
@@ -185,8 +208,9 @@ class LeaseBroker:
         if not self.root.is_dir():
             return {}
         out: Dict[str, bool] = {}
+        now = self.server_time()
         for path in sorted(self.root.glob("*.lease")):
-            expired = self.is_expired(path)
+            expired = self.is_expired(path, now)
             if expired is not None:
                 out[path.stem] = expired
         return out

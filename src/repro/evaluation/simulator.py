@@ -26,8 +26,10 @@ dependency events around one of them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
-from operator import is_
+import itertools
+from operator import is_, itemgetter
 from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from repro.core.outage.log import OutageLog
@@ -38,6 +40,7 @@ from repro.machine.cluster import Machine
 from repro.obs.telemetry import Telemetry, telemetry_scope
 from repro.schedulers.base import (
     JobRequest,
+    RunningChanges,
     RunningJobInfo,
     Scheduler,
     SchedulerState,
@@ -54,26 +57,37 @@ _PRIORITY_COMPLETION = 0
 _PRIORITY_OUTAGE = 1
 _PRIORITY_ARRIVAL = 2
 
+#: numbers each SpaceSite, so a policy can tell whose running-set changes it sees
+_site_ids = itertools.count()
+
 
 @dataclass
 class _Running:
-    request: JobRequest
-    start_time: float
-    expected_end: float
+    __slots__ = ("info", "seq", "completion_handle", "restarts")
+
+    #: the policy's view of this run, built once when it starts
+    info: RunningJobInfo
+    #: start order on its site: the running set's order for the tracker feed
+    seq: int
     #: engine handle of the completion event, for drivers that cancel it
-    completion_handle: Optional[int] = None
-    restarts: int = 0
+    completion_handle: Optional[int]
+    restarts: int
+
+    @property
+    def request(self) -> JobRequest:
+        return self.info.request
 
     def result(
         self, submit_time: float, end_time: float, killed: bool = False, site: Optional[str] = None
     ) -> JobResult:
         """This run, ended at ``end_time``, as the job's outcome."""
+        request = self.info.request
         return JobResult(
-            job=self.request.job,
+            job=request.job,
             submit_time=submit_time,
-            start_time=self.start_time,
+            start_time=self.info.start_time,
             end_time=end_time,
-            processors=self.request.processors,
+            processors=request.processors,
             killed=killed,
             restarts=self.restarts,
             site=site,
@@ -112,38 +126,110 @@ class SpaceSite:
 
     Holds the :class:`~repro.machine.cluster.Machine`, the wait queue and the
     running jobs, and runs the scheduling pass.  The driver owns time and
-    events: it appends arrivals to :attr:`queue`, starts what :meth:`select`
+    events: it adds arrivals with :meth:`enqueue`, starts what :meth:`select`
     returns and calls :meth:`finish` when a job ends or is killed.  ``label``
     prefixes the contract-violation messages (``"site a: "``).
+
+    The site keeps, up to date on every start and finish, what a pass hands
+    the policy: the queue itself, one :class:`RunningJobInfo` per running
+    job, the sorted release list and the running-set changes since the last
+    pass.  So a pass costs no copy of the queue and no rebuild of the
+    running set.
     """
+
+    #: Whether a job may keep running past its expected end.  On a plain
+    #: machine it cannot (every estimate is at least the runtime), and a
+    #: pass that finds one raises.  A grid site holds a co-allocated meta
+    #: component until all its partners start, so there the policy sees
+    #: such a job as ending now.
+    holds_overruns = False
 
     def __init__(self, size: int, scheduler: Scheduler, label: str = "") -> None:
         self.machine = Machine(size=size)
         self.scheduler = scheduler
         self.label = label
-        self.queue: List[JobRequest] = []
+        self._queue: List[JobRequest] = []
+        #: job id -> queued request
+        self._queued: Dict[int, JobRequest] = {}
         self.running: Dict[int, _Running] = {}
+        #: job id -> running job's info, in start order; policies get a live view
+        self._infos: Dict[int, RunningJobInfo] = {}
+        #: (expected end, processors) of the running jobs, sorted
+        self._completions: List[Tuple[float, int]] = []
+        # The running-set changes since the last pass: starts in order, and
+        # finishes as (start seq, info).  Starts with a seq above
+        # _seq_at_pass happened after the last pass was cut.
+        self._source = next(_site_ids)
+        self._passes = 0
+        self._seq = 0
+        self._seq_at_pass = 0
+        self._started: List[RunningJobInfo] = []
+        self._finished: List[Tuple[int, RunningJobInfo]] = []
+        self._state = SchedulerState(
+            now=0.0,
+            total_processors=size,
+            free_processors=size,
+            queue=self._queue,
+            running=self._infos.values(),
+        )
+        self._full_capacity = self._state.min_capacity
+
+    @property
+    def queue(self) -> List[JobRequest]:
+        """The wait queue, in order.  Live and read-only: it changes only
+        through :meth:`enqueue` and :meth:`select`."""
+        return self._queue
+
+    def enqueue(self, request: JobRequest, front: bool = False) -> None:
+        """Add ``request`` at the back of the wait queue, or at its front."""
+        job_id = request.job_id
+        if job_id in self._queued:
+            raise ValueError(f"{self.label}job {job_id} is already in the wait queue")
+        self._queued[job_id] = request
+        if front:
+            self._queue.insert(0, request)
+        else:
+            self._queue.append(request)
 
     def state(
-        self, now: float, min_capacity: Optional[Callable[[float, float], int]] = None
+        self,
+        now: float,
+        min_capacity: Optional[Callable[[float, float], int]] = None,
+        changes: Optional[RunningChanges] = None,
     ) -> SchedulerState:
-        """The policy's snapshot of this machine at ``now``."""
-        running_infos = [
-            RunningJobInfo(
-                request=r.request,
-                start_time=r.start_time,
-                expected_end=max(r.expected_end, now),
+        """The policy's view of this machine at ``now``.
+
+        One :class:`SchedulerState` per site, refreshed in place: a state is
+        valid for the pass it was handed to.
+        """
+        running = self._infos.values()
+        completions = self._completions
+        if completions and completions[0][0] < now:
+            running, completions = self._overrun_view(running, now)
+        state = self._state
+        state.now = now
+        state.free_processors = self.machine.free_count()
+        state.running = running
+        state.min_capacity = self._full_capacity if min_capacity is None else min_capacity
+        state.changes = changes
+        state.completions = completions
+        return state
+
+    def _overrun_view(
+        self, running: Collection[RunningJobInfo], now: float
+    ) -> Tuple[List[RunningJobInfo], List[Tuple[float, int]]]:
+        """The running set with every overrun's expected end moved to ``now``."""
+        if not self.holds_overruns:
+            late = next(info for info in running if info.expected_end < now)
+            raise RuntimeError(
+                f"{self.label}job {late.request.job_id} is still running at {now}, past "
+                f"its expected end {late.expected_end}"
             )
-            for r in self.running.values()
+        running = [
+            info if info.expected_end >= now else replace(info, expected_end=now)
+            for info in running
         ]
-        return SchedulerState(
-            now=now,
-            total_processors=self.machine.size,
-            free_processors=self.machine.free_count(),
-            queue=list(self.queue),
-            running=running_infos,
-            min_capacity=min_capacity,
-        )
+        return running, sorted((info.expected_end, info.processors) for info in running)
 
     def select(
         self, now: float, min_capacity: Callable[[float, float], int]
@@ -152,27 +238,44 @@ class SpaceSite:
 
         The whole selection is checked before anything changes: every job
         must be queued, selected once, and together fit the free processors;
-        a policy that breaks this raises :class:`RuntimeError`, so policy
-        bugs surface in tests rather than as silently wrong results.
+        and the policy must have left the queue as it found it (same length,
+        same head).  A policy that breaks this raises :class:`RuntimeError`,
+        so policy bugs surface in tests rather than as silently wrong results.
 
         A selection that is, object for object, the head of the queue (FCFS
         always; backfilling when nothing jumps ahead) is queued by
-        construction, so it costs O(selected): only the duplicate and
-        capacity checks run, and the head is cut off in place.  Any other
-        selection is matched against the queue by job id.
+        construction and cut off in place.  Any other selection is matched
+        against the queued jobs by job id.
         """
-        state = self.state(now, min_capacity)
+        self._passes += 1
+        finished = self._finished
+        if finished:
+            if len(finished) > 1:
+                finished.sort(key=itemgetter(0))
+            finished = [info for _, info in finished]
+        changes = RunningChanges(self._source, self._passes, self._started, finished)
+        self._started = []
+        self._finished = []
+        self._seq_at_pass = self._seq
+        state = self.state(now, min_capacity, changes)
+        queue = self._queue
+        depth = len(queue)
+        head = queue[0] if depth else None
         selected = self.scheduler.select_jobs(state)
+        if len(queue) != depth or (depth and queue[0] is not head):
+            raise RuntimeError(
+                f"{self.label}scheduler {self.scheduler.name!r} changed the wait queue; "
+                f"a policy must return its selection and leave the queue alone"
+            )
         if not selected:
             return []
-        queue = self.queue
-        prefix = len(selected) <= len(queue) and all(map(is_, selected, queue))
-        queued_ids = None if prefix else {r.job_id for r in queue}
+        queued = self._queued
+        prefix = len(selected) <= depth and all(map(is_, selected, queue))
         selected_ids = set()
         total_requested = 0
         for request in selected:
             job_id = request.job_id
-            if job_id in selected_ids or (queued_ids is not None and job_id not in queued_ids):
+            if job_id in selected_ids or (not prefix and job_id not in queued):
                 raise RuntimeError(
                     f"{self.label}scheduler {self.scheduler.name!r} selected job "
                     f"{job_id} which is not in the wait queue"
@@ -187,27 +290,43 @@ class SpaceSite:
         if prefix:
             del queue[: len(selected)]
         else:
-            self.queue = [r for r in queue if r.job_id not in selected_ids]
+            queue[:] = [r for r in queue if r.job_id not in selected_ids]
+        for job_id in selected_ids:
+            del queued[job_id]
         return selected
 
     def start(
         self, request: JobRequest, now: float, handle: Optional[int] = None, restarts: int = 0
     ) -> None:
         """Allocate processors to ``request`` and record it as running."""
-        self.machine.allocate(request.job_id, request.processors)
-        self.running[request.job_id] = _Running(
-            request=request,
-            start_time=now,
-            expected_end=now + request.estimate,
-            completion_handle=handle,
-            restarts=restarts,
-        )
+        job_id = request.job_id
+        self.machine.allocate(job_id, request.processors)
+        info = RunningJobInfo(request, now, now + request.estimate)
+        self._seq += 1
+        self.running[job_id] = _Running(info, self._seq, handle, restarts)
+        self._infos[job_id] = info
+        insort(self._completions, (info.expected_end, request.processors))
+        self._started.append(info)
 
     def finish(self, job_id: int) -> Optional[_Running]:
         """Take ``job_id`` off the machine; ``None`` if it is not running."""
         running = self.running.pop(job_id, None)
-        if running is not None:
-            self.machine.release(job_id)
+        if running is None:
+            return None
+        self.machine.release(job_id)
+        info = running.info
+        del self._infos[job_id]
+        completions = self._completions
+        del completions[bisect_left(completions, (info.expected_end, info.processors))]
+        if running.seq > self._seq_at_pass:
+            # Started since the last pass: the next pass never sees it.
+            started = self._started
+            for i, other in enumerate(started):
+                if other is info:
+                    del started[i]
+                    break
+        else:
+            self._finished.append((running.seq, info))
         return running
 
 
@@ -240,9 +359,11 @@ class MachineSimulation:
         #: as the contextvar scope during :meth:`run` so schedulers' module-
         #: level ``count()`` calls land here.
         self._telemetry = Telemetry()
-        self._passes = self._telemetry.counter("sched_passes")
-        self._queue_depth = self._telemetry.gauge("max_queue_depth")
-        self._jobs_started = self._telemetry.counter("jobs_started")
+        # The driver's own counters, kept as plain ints and folded into the
+        # registry once, when the run ends.
+        self._passes = 0
+        self._max_queue_depth = 0
+        self._jobs_started = 0
         self._results: List[JobResult] = []
         self._outage_kills = 0
         self._skipped_too_large = 0
@@ -313,7 +434,7 @@ class MachineSimulation:
     # event handlers
     # ------------------------------------------------------------------
     def _on_arrival(self, request: JobRequest) -> None:
-        self.site.queue.append(request)
+        self.site.enqueue(request)
         self._submit_times.setdefault(request.job_id, self.sim.now)
         self._schedule_pass()
 
@@ -347,7 +468,7 @@ class MachineSimulation:
             self._outage_kills += 1
             if self.restart_failed_jobs and running.restarts < self.max_restarts:
                 # Restart from scratch: back into the queue at the current time.
-                self.site.queue.append(replace(running.request, submit_time=int(self.sim.now)))
+                self.site.enqueue(replace(running.request, submit_time=int(self.sim.now)))
                 self._restart_counts[job_id] = running.restarts + 1
             else:
                 self._results.append(
@@ -367,8 +488,10 @@ class MachineSimulation:
         site = self.site
         if not site.queue:
             return
-        self._passes.inc()
-        self._queue_depth.set_max(len(site.queue))
+        self._passes += 1
+        depth = len(site.queue)
+        if depth > self._max_queue_depth:
+            self._max_queue_depth = depth
         now = self.sim.now
         while (
             self._announce_index < len(self._by_announce)
@@ -378,7 +501,7 @@ class MachineSimulation:
             self._announced.append((record.start_time, record.end_time, record.nodes_affected))
             self._announce_index += 1
         for request in site.select(now, self._min_capacity):
-            self._jobs_started.inc()
+            self._jobs_started += 1
             handle = self.sim.schedule(
                 request.runtime,
                 self._on_completion,
@@ -395,7 +518,13 @@ class MachineSimulation:
         with telemetry_scope(self._telemetry):
             self._seed_events()
             self.sim.run()
-        counters = self._telemetry.as_counters()
+        telemetry = self._telemetry
+        if self._passes:
+            telemetry.counter("sched_passes").inc(self._passes)
+            telemetry.gauge("max_queue_depth").set_max(self._max_queue_depth)
+        if self._jobs_started:
+            telemetry.counter("jobs_started").inc(self._jobs_started)
+        counters = telemetry.as_counters()
         counters["events_processed"] = self.sim.processed_events
         counters["peak_event_queue"] = self.sim.peak_queue
         result = SimulationResult(

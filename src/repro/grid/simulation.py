@@ -136,6 +136,10 @@ class _MetaState:
 class _SiteState(SpaceSite):
     """One site's machine and queue, plus its reservation calendar and local results."""
 
+    # A co-allocated component holds its processors until every partner
+    # starts, which can be long past its own estimate.
+    holds_overruns = True
+
     def __init__(self, site: Site) -> None:
         super().__init__(site.machine_size, site.scheduler, label=f"site {site.name}: ")
         self.site = site
@@ -152,8 +156,8 @@ class _SiteState(SpaceSite):
             free_processors=state.free_processors,
             speed=self.site.speed,
             now=now,
-            queued=state.queue,
-            running=state.running,
+            queued=list(state.queue),
+            running=list(state.running),
             reservations=list(self.reservations.values()),
         )
 
@@ -232,7 +236,7 @@ class GridSimulation:
     # ------------------------------------------------------------------
     def _on_local_arrival(self, site_name: str, request: JobRequest) -> None:
         state = self.sites[site_name]
-        state.queue.append(request)
+        state.enqueue(request)
         state.local_submit[request.job_id] = self.sim.now
         self._schedule_pass(site_name)
 
@@ -324,7 +328,7 @@ class GridSimulation:
         else:
             for site_name, component in mapping.items():
                 state = self.sites[site_name]
-                state.queue.append(self._meta_request(job, component, state.site))
+                state.enqueue(self._meta_request(job, component, state.site))
                 self._schedule_pass(site_name)
 
     def _on_reservation_claim(self, meta_id: int) -> None:
@@ -335,7 +339,7 @@ class GridSimulation:
             del state.reservations[meta_id]
             # Reservation-backed components go to the head of the queue: the
             # site already drained capacity for them.
-            state.queue.insert(0, self._meta_request(meta_state.job, component, state.site))
+            state.enqueue(self._meta_request(meta_state.job, component, state.site), front=True)
             self._schedule_pass(site_name)
 
     def _component_started(self, site_name: str, meta_id: int) -> None:

@@ -20,6 +20,9 @@ and user estimates).
   slot set (a per-pass copy takes the tentative reservations, so the base
   structure only ever tracks actually-running jobs).
 
+Both count their backfills (and EASY its shadow computations) in locals and
+emit each counter once per pass, and only when it is nonzero.
+
 Both use the user estimate, not the actual runtime, to compute reservations —
 as in production systems, over-estimates create backfill opportunities.
 """
@@ -27,16 +30,11 @@ as in production systems, over-estimates create backfill opportunities.
 from __future__ import annotations
 
 from heapq import merge
-from typing import List, Optional
+from typing import List
 
 from repro.api.registry import register_scheduler
 from repro.obs.telemetry import count
-from repro.schedulers.base import (
-    JobRequest,
-    RunningJobInfo,
-    Scheduler,
-    SchedulerState,
-)
+from repro.schedulers.base import JobRequest, Scheduler, SchedulerState
 from repro.schedulers.freespace import FreeSpaceTracker
 
 __all__ = ["EasyBackfillScheduler", "ConservativeBackfillScheduler"]
@@ -75,9 +73,11 @@ class EasyBackfillScheduler(Scheduler):
 
         # Phase 2: the head does not fit.  Compute its shadow time and the
         # number of extra processors, then backfill behind it.
+        count("shadow_scans")
         head = queue[head_index]
         shadow_time, extra = self._shadow(state, started, head, free)
 
+        backfilled = 0
         for i in range(head_index + 1, len(queue)):
             candidate = queue[i]
             if not self.job_fits_now(state, candidate, free):
@@ -85,11 +85,13 @@ class EasyBackfillScheduler(Scheduler):
             finishes_before_shadow = state.now + candidate.estimate <= shadow_time
             uses_only_extra = candidate.processors <= extra
             if finishes_before_shadow or uses_only_extra:
-                count("jobs_backfilled")
+                backfilled += 1
                 started.append(candidate)
                 free -= candidate.processors
                 if not finishes_before_shadow:
                     extra -= candidate.processors
+        if backfilled:
+            count("jobs_backfilled", backfilled)
         return started
 
     def _shadow(
@@ -106,7 +108,7 @@ class EasyBackfillScheduler(Scheduler):
         for the head; the extra processors are those free at the shadow time
         beyond what the head needs.
 
-        The running-set release list comes memoized from
+        The running-set release list is the driver's live sorted list,
         :meth:`SchedulerState.expected_completions`; phase-1 starts are a
         second (small) sorted run merged in, so nothing is re-sorted here.
 
@@ -117,7 +119,6 @@ class EasyBackfillScheduler(Scheduler):
         ``available``, and preserving the historical (paper-faithful)
         tie-breaking keeps schedules bit-for-bit identical.
         """
-        count("shadow_scans")
         releases = state.expected_completions()
         if just_started:
             fresh = sorted(
@@ -145,11 +146,13 @@ class EasyBackfillScheduler(Scheduler):
 class ConservativeBackfillScheduler(Scheduler):
     """Conservative backfilling: every queued job holds a reservation.
 
-    Each scheduling pass syncs the incrementally-maintained slot set to
-    the running jobs (patching only what started/finished since the last
-    pass), takes an O(slots) copy, optionally clamps it to announced
-    outage capacity, and anchors the queue in order — identical decisions
-    to the old rebuild-every-pass profile, without the rebuild.
+    Each scheduling pass brings the incrementally-maintained slot set up to
+    date from the driver's running-set changes (``state.changes``: what
+    started and finished since the last pass), takes an O(slots) copy,
+    optionally clamps it to announced outage capacity, and anchors the
+    queue in order, one fused :meth:`FreeSpace.anchor` walk per job —
+    identical decisions to the old rebuild-every-pass profile, without the
+    rebuild.
     """
 
     name = "conservative-backfill"
@@ -167,20 +170,27 @@ class ConservativeBackfillScheduler(Scheduler):
             profile.clamp_capacity(state.min_capacity, state.now + self.horizon)
 
         started: List[JobRequest] = []
+        now = state.now
         free = state.free_processors
         blocked = False  # has any earlier-queued job been held back?
+        backfilled = 0
+        anchor_at = profile.anchor
         for request in state.queue:
-            duration = max(request.estimate, 1)
-            anchor = profile.earliest_start(request.processors, duration)
-            profile.reserve(anchor, anchor + duration, request.processors)
-            if anchor <= state.now and self.job_fits_now(state, request, free):
+            anchor = anchor_at(request.processors, max(request.estimate, 1))
+            if anchor <= now and self.job_fits_now(state, request, free):
                 if blocked:
-                    count("jobs_backfilled")
+                    backfilled += 1
                 started.append(request)
                 free -= request.processors
             else:
                 blocked = True
+        if backfilled:
+            count("jobs_backfilled", backfilled)
+        # The sync's slot work and this pass's, emitted once.
+        synced_splits, synced_merges = base.take_stats()
         splits, merges = profile.take_stats()
+        splits += synced_splits
+        merges += synced_merges
         if splits:
             count("slots_split", splits)
         if merges:

@@ -4,8 +4,8 @@ Both event drivers, the evaluation driver (:mod:`repro.evaluation.simulator`)
 and each site of the grid (:mod:`repro.grid.simulation`), run a machine
 through :class:`repro.evaluation.simulator.SpaceSite`: at every job arrival,
 job completion, or outage event
-:meth:`~repro.evaluation.simulator.SpaceSite.state` builds a
-:class:`SchedulerState` snapshot and the policy is asked which queued jobs to
+:meth:`~repro.evaluation.simulator.SpaceSite.state` hands the policy a
+:class:`SchedulerState` view of the machine and asks which queued jobs to
 start *now*.  Policies never see actual runtimes — only the user estimate
 (field 9 of the SWF, falling back to the actual runtime when no estimate is
 recorded), exactly the information a production scheduler has.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Collection, Iterable, List, Optional, Tuple
 
 from repro.core.swf.fields import MISSING
 from repro.core.swf.records import SWFJob
@@ -27,6 +27,7 @@ from repro.core.swf.records import SWFJob
 __all__ = [
     "JobRequest",
     "admit",
+    "RunningChanges",
     "RunningJobInfo",
     "SchedulerState",
     "Scheduler",
@@ -87,10 +88,19 @@ class JobRequest:
 
 def admit(jobs: Iterable[SWFJob], machine_size: int) -> Tuple[List[JobRequest], int]:
     """Requests for the jobs a machine of ``machine_size`` can run, and how
-    many were skipped: no usable processor count, or wider than the machine."""
+    many were skipped: no usable processor count, or wider than the machine.
+
+    SWF job numbers are unique, and the drivers key their wait queue by job
+    number, so a repeated number raises :class:`ValueError`.
+    """
     requests = []
     skipped = 0
+    seen = set()
     for job in jobs:
+        number = job.job_number
+        if number in seen:
+            raise ValueError(f"job number {number} appears more than once in the workload")
+        seen.add(number)
         try:
             request = JobRequest.from_swf(job)
         except ValueError:
@@ -117,19 +127,56 @@ class RunningJobInfo:
 
 
 @dataclass
+class RunningChanges:
+    """How a machine's running set changed since its previous scheduling pass.
+
+    ``finished`` holds the jobs that left the running set (completed or
+    killed), in the order they held in it; ``started`` the jobs that joined
+    it, in start order.  A job that started and finished between the two
+    passes is in neither.  ``source`` names the machine and ``serial``
+    numbers its passes from 1, so a consumer can tell whether it has seen
+    every earlier pass of this machine.
+    """
+
+    # Slots make the one-per-pass construction cheap.
+    __slots__ = ("source", "serial", "started", "finished")
+
+    source: int
+    serial: int
+    started: List[RunningJobInfo]
+    finished: List[RunningJobInfo]
+
+
+@dataclass
 class SchedulerState:
-    """Snapshot handed to a policy at each scheduling point."""
+    """What a policy sees of the machine at one scheduling point.
+
+    The driver hands a *view* of its own state, not a copy: ``queue`` is
+    the live wait queue, ``running`` a live view of the running jobs (in
+    start order; iterate it, do not index it) and ``completions`` their
+    live sorted release list.  It refreshes one state object in place for
+    every pass, so a state is valid for the pass it was handed to.  A
+    policy reads it and returns its selection; it must not change it (the
+    driver checks that the queue's length and head are unchanged after
+    every pass).  Hand-built states may pass plain lists and leave
+    ``completions`` and ``changes`` out.
+    """
 
     now: float
     total_processors: int
     free_processors: int
     queue: List[JobRequest]
-    running: List[RunningJobInfo]
+    running: Collection[RunningJobInfo]
     #: min available capacity over a future window, considering *announced*
     #: outages only; defaults to the constant total capacity.
     min_capacity: Callable[[float, float], int] = None  # type: ignore[assignment]
-    _completions: Optional[List[Tuple[float, int]]] = field(
-        default=None, init=False, repr=False, compare=False
+    #: the running-set changes since this machine's previous pass, when the
+    #: driver keeps them (see :class:`RunningChanges`)
+    changes: Optional[RunningChanges] = None
+    #: (expected end, processors) of the running jobs, sorted; computed from
+    #: ``running`` on first use when not given
+    completions: Optional[List[Tuple[float, int]]] = field(
+        default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -138,15 +185,10 @@ class SchedulerState:
             self.min_capacity = lambda start, end: total
 
     def expected_completions(self) -> List[Tuple[float, int]]:
-        """(expected end, processors) for running jobs, sorted by end time.
-
-        Memoized on the snapshot: backfilling consults this once per
-        blocked-head decision, and the running set cannot change within
-        one scheduling pass.
-        """
-        if self._completions is None:
-            self._completions = sorted((r.expected_end, r.processors) for r in self.running)
-        return self._completions
+        """(expected end, processors) for running jobs, sorted by end time."""
+        if self.completions is None:
+            self.completions = sorted((r.expected_end, r.processors) for r in self.running)
+        return self.completions
 
 
 class Scheduler(ABC):

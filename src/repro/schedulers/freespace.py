@@ -17,9 +17,10 @@ the style of OAR3's ``kamelot`` scheduler:
 
 * :class:`FreeSpaceTracker` — maintains one :class:`FreeSpace` across
   scheduling events.  Instead of rebuilding from the running set each
-  pass, it advances the slot origin to ``now`` and patches only the diff:
-  jobs that started since the last pass reserve their window, jobs that
-  finished (or were killed by an outage) release theirs.
+  pass, it advances the slot origin to ``now`` and applies the changes the
+  driver reports (:class:`~repro.schedulers.base.RunningChanges`): jobs
+  that finished (or were killed by an outage) release their window, jobs
+  that started reserve theirs.
 
 Every query is value-equivalent to the original breakpoint scan; the
 equivalence is asserted bit-for-bit in
@@ -35,7 +36,7 @@ serial and parallel runs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.telemetry import count
 
@@ -179,6 +180,66 @@ class FreeSpace:
             index = blocker + 1
             anchor = times[index]
 
+    def anchor(self, processors: int, duration: float) -> float:
+        """Reserve ``processors`` for ``duration`` at the earliest start; return it.
+
+        The same anchor, slots and split/merge counts as :meth:`earliest_start`
+        followed by :meth:`reserve` over ``[anchor, anchor + duration)``, in
+        one walk.  The anchor is always an existing slot boundary (``now``
+        or the end of a blocking slot), so its edge needs no split, and the
+        window's end edge goes where the walk's scan stopped.
+        """
+        if processors <= 0 or duration <= 0:
+            start = self.earliest_start(processors, duration)
+            self.reserve(start, start + duration, processors)
+            return start
+        if processors > self.total:
+            raise ValueError(
+                f"a request for {processors} processors can never fit a "
+                f"{self.total}-processor machine"
+            )
+        times, free = self._times, self._free
+        n = len(times)
+        index = 0
+        while True:
+            # Skip the slots that cannot host the request; past the last
+            # one, take earliest_start's fallback anchor (the last boundary)
+            # and reserve it the long way.
+            while free[index] < processors:
+                index += 1
+                if index == n:
+                    anchor = times[-1]
+                    self._shift(anchor, anchor + duration, -processors)
+                    return anchor
+            anchor = times[index]
+            end = anchor + duration
+            scan = index + 1
+            while scan < n and times[scan] < end:
+                if free[scan] < processors:
+                    break
+                scan += 1
+            else:
+                if end <= anchor:
+                    return anchor
+                # Reserve [anchor, end) over slots index .. scan-1.
+                if scan == n or times[scan] != end:
+                    times.insert(scan, end)
+                    free.insert(scan, free[scan - 1])
+                    self.splits += 1
+                    n += 1
+                for i in range(index, scan):
+                    free[i] -= processors
+                if scan < n and free[scan - 1] == free[scan]:
+                    del times[scan]
+                    del free[scan]
+                    self.merges += 1
+                if index and free[index - 1] == free[index]:
+                    del times[index]
+                    del free[index]
+                    self.merges += 1
+                return anchor
+            index = scan
+
     def slots(self) -> List[Tuple[float, float, int]]:
         """(start, end, free) triples; the last slot ends at +inf."""
         out = []
@@ -285,96 +346,79 @@ class FreeSpace:
 class FreeSpaceTracker:
     """Maintain a :class:`FreeSpace` incrementally across scheduling passes.
 
-    The simulator hands each pass a fresh running-set snapshot.  Rather
-    than rebuilding the profile from it (O(running x slots) per pass), the
-    tracker advances the previous slot set to ``state.now`` and patches
-    the *diff*: newly started jobs reserve ``[now, expected_end)``,
-    vanished jobs (completed, or killed by an outage) release the
-    remainder of theirs.  The result is, slot for slot, the structure
-    ``FreeSpace.from_running`` would have built — an invariant asserted
-    by the property tests.
+    Each pass advances the previous slot set to ``state.now`` and applies
+    ``state.changes``, the running-set changes the driver kept since its
+    previous pass: finished jobs (completed, or killed by an outage)
+    release the rest of their window, in the order they held in the
+    running set, then started jobs reserve ``[now, expected_end)`` in start
+    order.  The result is, slot for slot, the structure
+    ``FreeSpace.from_running`` would build from ``state.running`` — an
+    invariant the property tests assert.  The splits and merges a sync
+    makes stay on the returned slot set for the caller's
+    :meth:`FreeSpace.take_stats`, so a pass can emit them once with its own.
 
-    Time must be monotone within one tracked simulation (the simulator
-    guarantees this); a pass with an earlier ``now`` or a different
-    machine size triggers a full rebuild, which also covers reusing one
-    scheduler instance across simulations.
+    A state without changes (a hand-built one), changes from another
+    machine or with a pass missing, a pass with an earlier ``now`` or a
+    different machine size all trigger a full rebuild from
+    ``state.running``, which also covers reusing one scheduler instance
+    across simulations.
     """
 
-    __slots__ = ("_fs", "_known")
+    __slots__ = ("_fs", "_source", "_serial")
 
     def __init__(self) -> None:
         self._fs: Optional[FreeSpace] = None
-        #: job_id -> (processors, expected_end) as of the last sync
-        self._known: Dict[int, Tuple[int, float]] = {}
+        #: the machine and pass number of the last changes applied
+        self._source: Optional[int] = None
+        self._serial = 0
 
     def reset(self) -> None:
         self._fs = None
-        self._known = {}
+        self._source = None
+        self._serial = 0
 
     def sync(self, state) -> FreeSpace:
         """Bring the tracked slot set up to date with ``state``; return it."""
         now = state.now
         fs = self._fs
-        if fs is None or now < fs.now or fs.total != state.total_processors:
+        changes = state.changes
+        if (
+            fs is None
+            or changes is None
+            or changes.source != self._source
+            or changes.serial != self._serial + 1
+            or now < fs.now
+            or fs.total != state.total_processors
+        ):
             return self._rebuild(state)
+        self._serial = changes.serial
         fs.advance(now)
-        known = self._known
-        current: Dict[int, Tuple[int, float]] = {}
         patches = 0
-        for info in state.running:
+        for info in changes.finished:
             end = info.expected_end
-            if end < now:
-                end = now
-            current[info.request.job_id] = (info.processors, end)
-        for job_id, (procs, end) in known.items():
-            if job_id not in current and end > now:
-                fs.release(now, end, procs)
+            if end > now:
+                fs.release(now, end, info.processors)
                 patches += 1
-        for job_id, entry in current.items():
-            old = known.get(job_id)
-            if old is None:
-                procs, end = entry
-                if end > now:
-                    fs.reserve(now, end, procs)
-                    patches += 1
-            elif old != entry:
-                # Same id, different window: an outage killed and
-                # resubmitted the job between passes, or its clamped end
-                # moved.  Swap the remaining contribution.
-                old_procs, old_end = old
-                procs, end = entry
-                if old_end > now:
-                    fs.release(now, old_end, old_procs)
-                    patches += 1
-                if end > now:
-                    fs.reserve(now, end, procs)
-                    patches += 1
-        self._known = current
+        for info in changes.started:
+            end = info.expected_end
+            if end > now:
+                fs.reserve(now, end, info.processors)
+                patches += 1
         if patches:
             count("profile_patches", patches)
-        splits, merges = fs.take_stats()
-        if splits:
-            count("slots_split", splits)
-        if merges:
-            count("slots_merged", merges)
         return fs
 
     def _rebuild(self, state) -> FreeSpace:
         count("profile_builds")
         fs = FreeSpace(state.total_processors, state.now)
-        known: Dict[int, Tuple[int, float]] = {}
         now = state.now
         for info in state.running:
             end = info.expected_end
             if end < now:
                 end = now
             fs.reserve(now, end, info.processors)
-            known[info.request.job_id] = (info.processors, end)
-        splits, merges = fs.take_stats()
-        if splits:
-            count("slots_split", splits)
-        if merges:
-            count("slots_merged", merges)
         self._fs = fs
-        self._known = known
+        changes = state.changes
+        self._source = None if changes is None else changes.source
+        self._serial = 0 if changes is None else changes.serial
         return fs

@@ -119,5 +119,47 @@ class TestExpiry:
         leases = probe.active_leases()
         assert leases == {"b" * 64: True, "c" * 64: False}
 
+    def test_clock_probe_is_not_a_lease(self, tmp_path):
+        broker = LeaseBroker(tmp_path, ttl=60)
+        broker.acquire(KEY)
+        assert broker.active_leases() == {KEY: False}
+        assert (tmp_path / ".clock-probe").is_file()
+
     def test_default_ttl_is_generous(self):
         assert DEFAULT_TTL_SECONDS >= 60
+
+
+class TestClockSkew:
+    """Lease mtimes are stamped by the file server's clock, so a lease's age
+    is read against that clock (a freshly touched probe file), never the
+    worker's own ``time.time()``.  Each case skews one side by an hour."""
+
+    HOUR = 3600.0
+
+    @pytest.mark.parametrize("skew", [HOUR, -HOUR], ids=["worker-ahead", "worker-behind"])
+    def test_worker_clock_skew_changes_nothing(self, tmp_path, monkeypatch, skew):
+        owner = LeaseBroker(tmp_path, ttl=60, owner="owner")
+        fresh = owner.acquire(KEY)
+        stale_key = "d" * 64
+        stale = owner.acquire(stale_key)
+        past = time.time() - 120
+        os.utime(stale.path, (past, past))
+        real_time = time.time
+        monkeypatch.setattr("repro.dist.lease.time.time", lambda: real_time() + skew)
+        rival = LeaseBroker(tmp_path, ttl=60, owner="rival")
+        assert rival.is_expired(fresh.path) is False
+        assert rival.is_expired(stale.path) is True
+        assert rival.acquire(KEY) is None
+        assert rival.acquire(stale_key) is not None
+        assert rival.reclaimed == 1
+
+    @pytest.mark.parametrize("skew", [HOUR, -HOUR], ids=["mtime-ahead", "mtime-behind"])
+    def test_age_is_read_against_the_probe(self, tmp_path, skew):
+        broker = LeaseBroker(tmp_path, ttl=60)
+        lease = broker.acquire(KEY)
+        now = broker.server_time()
+        os.utime(lease.path, (now + skew, now + skew))
+        # An hour ahead of the probe is not old; an hour behind is expired.
+        assert broker.is_expired(lease.path) is (skew < 0)
+        assert broker.is_expired(lease.path, now=now + skew) is False
+        assert broker.is_expired(lease.path, now=now + skew + 61) is True

@@ -5,7 +5,8 @@ fit the free processors.  :meth:`repro.evaluation.simulator.SpaceSite.select`
 checks this for the single-machine driver and for every grid site, and must
 reject a violation before any job starts.  A selection that is the head of
 the queue takes a shorter path than any other selection; both paths are
-held to the whole contract here.
+held to the whole contract here, and so is the rule that a policy leaves
+the live wait queue it is handed as it found it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,26 @@ class HeadPair(Scheduler):
         return state.queue[:2] if len(state.queue) > 1 else []
 
 
+class HeadPopper(Scheduler):
+    """Takes the head off the live queue itself and starts it."""
+
+    name = "head-popper"
+
+    def select_jobs(self, state):
+        return [state.queue.pop(0)]
+
+
+class Reorderer(Scheduler):
+    """Waits for two jobs, then sorts the live queue widest first and starts nothing."""
+
+    name = "reorderer"
+
+    def select_jobs(self, state):
+        if len(state.queue) > 1:
+            state.queue.sort(key=lambda r: -r.processors)
+        return []
+
+
 def _machine(workload, scheduler):
     simulation = MachineSimulation(workload, scheduler, machine_size=SIZE)
     return simulation, simulation.site
@@ -106,28 +127,42 @@ def test_grid_violation_names_the_site():
 
 
 @pytest.mark.parametrize("driver", [_machine, _grid], ids=["machine", "grid"])
-def test_duplicate_job_id_in_a_head_selection_rejected(driver):
-    # Two queued requests share job number 1; selecting the first two queue
-    # entries is a head selection that names job 1 twice.
-    jobs = [make_job(1, submit=0, processors=4), make_job(1, submit=0, processors=4)]
-    simulation, site = driver(make_workload(jobs), HeadPair())
-    with pytest.raises(
-        RuntimeError, match="scheduler 'head-pair' selected job 1 which is not in the wait queue"
-    ):
+@pytest.mark.parametrize(
+    "scheduler",
+    [HeadPopper, Reorderer],
+    ids=["pop-head", "reorder"],
+)
+def test_queue_mutating_policy_rejected(driver, scheduler):
+    jobs = [make_job(1, submit=0, processors=2), make_job(2, submit=0, processors=12)]
+    policy = scheduler()
+    simulation, site = driver(make_workload(jobs), policy)
+    with pytest.raises(RuntimeError, match=f"scheduler {policy.name!r} changed the wait queue"):
         simulation.run()
     assert site.running == {}
     assert site.machine.free_count() == SIZE
 
 
+@pytest.mark.parametrize("driver", [_machine, _grid], ids=["machine", "grid"])
+def test_repeated_job_numbers_rejected_at_admission(driver):
+    # SWF job numbers are unique and the wait queue is keyed by them, so a
+    # workload that repeats one is refused before anything is queued.
+    jobs = [make_job(1, submit=0, processors=4), make_job(1, submit=0, processors=4)]
+    with pytest.raises(ValueError, match="job number 1 appears more than once"):
+        simulation, _site = driver(make_workload(jobs), HeadPair())
+        simulation.run()
+
+
 def test_head_selection_of_one_request_twice_rejected():
-    # The same request object queued twice makes [queue[0], queue[0]] a
-    # head selection, object for object.
+    # One queued request cannot be queued again, and selecting it twice,
+    # [queue[0], queue[0]], is rejected with the queue left as it was.
     site = SpaceSite(SIZE, Doubler())
     request = JobRequest(job=make_job(1), processors=2, runtime=1, estimate=1, submit_time=0)
-    site.queue = [request, request]
+    site.enqueue(request)
+    with pytest.raises(ValueError, match="job 1 is already in the wait queue"):
+        site.enqueue(request, front=True)
     with pytest.raises(RuntimeError, match="selected job 1 which is not in the wait queue"):
         site.select(0.0, lambda start, end: SIZE)
-    assert site.queue == [request, request]
+    assert site.queue == [request]
     assert site.running == {}
 
 
@@ -149,7 +184,8 @@ def test_head_and_other_selections_dequeue_what_they_select():
 
     for positions, left in [((0, 1), [3, 4]), ((0, 2), [2, 4]), ((1,), [1, 3, 4])]:
         site = SpaceSite(SIZE, Pick(positions))
-        site.queue = list(requests)
+        for request in requests:
+            site.enqueue(request)
         selected = site.select(0.0, lambda start, end: SIZE)
         assert [r.job_id for r in selected] == [requests[i].job_id for i in positions]
         assert [r.job_id for r in site.queue] == left
